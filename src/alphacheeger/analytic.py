@@ -109,7 +109,8 @@ def _alpha_value(alpha: AlphaLike, lo: float = 1.0, hi: float = 2.0,
                 f"planar formula requires n=2, got Alpha with n={alpha.n}")
         return alpha.value
     a = float(alpha)
-    if (a < lo or (lo_open and a == lo)) or (a > hi or (hi_open and a == hi)):
+    if (math.isnan(a) or (a < lo or (lo_open and a == lo))
+            or (a > hi or (hi_open and a == hi))):
         lo_b = "(" if lo_open else "["
         hi_b = ")" if hi_open else "]"
         raise ValueError(f"alpha={a} outside domain {lo_b}{lo}, {hi}{hi_b}")
@@ -138,12 +139,21 @@ class Rectangle:
 
     @classmethod
     def from_sides(cls, a: float, b: float) -> "Rectangle":
-        """Normalize an a x b rectangle (sides in any order)."""
-        if not (a > 0.0 and b > 0.0):
-            raise ValueError(f"rectangle sides must be positive, got {a} x {b}")
+        """Normalize an a x b rectangle (sides in any order).
+
+        Sides and the normalized length must be finite; the infinite strip
+        is ``Rectangle(math.inf)``, never an overflowing side ratio.
+        """
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise ValueError(
+                f"rectangle sides must be positive and finite, got {a} x {b}")
         long_side, short_side = (a, b) if a >= b else (b, a)
-        return cls(length=2.0 * long_side / short_side,
-                   scale_to_user=short_side / 2.0)
+        length = 2.0 * (long_side / short_side)
+        if math.isinf(length):
+            raise ValueError(f"rectangle {a} x {b} is too elongated: its "
+                             f"normalized length 2 * {long_side} / {short_side} "
+                             f"overflows")
+        return cls(length=length, scale_to_user=short_side / 2.0)
 
 
 class SolutionKind(str, Enum):

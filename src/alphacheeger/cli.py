@@ -23,7 +23,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .analytic import CaseError, CheegerSolution, SolutionKind
+from .analytic import CaseError, CheegerSolution, Rectangle, SolutionKind
 from .classifier import (StripClassification, classify_annulus,
                          classify_open_strip, classify_rectangle)
 from .curves import CurveKind, CurveValidationError, StripCurve, load_curve, retruncate
@@ -224,11 +224,8 @@ def _representative_anchors(lo: float, hi: float) -> list[float]:
 def _resolve_rectangle_args(args) -> tuple[float, float]:
     """(normalized length, scale factor back to the user frame)."""
     if args.sides is not None:
-        a_side, b_side = args.sides
-        if not (a_side > 0.0 and b_side > 0.0):
-            raise ValueError(f"side lengths must be > 0, got {a_side} x {b_side}")
-        short, long_ = sorted((a_side, b_side))
-        return 2.0 * long_ / short, short / 2.0
+        rect = Rectangle.from_sides(*args.sides)
+        return rect.length, rect.scale_to_user
     return args.length, 1.0
 
 

@@ -4,6 +4,9 @@ Everything downstream of the closed forms is checked against polygon
 approximations built here.  Circular arcs are discretized with vertices on
 the arc (inscribed polygons), so areas and perimeters converge to the smooth
 values at rate O(1/segments^2), which the test suite measures explicitly.
+Unit-arc templates are cached per (angles, segments), so a builder only
+scales and shifts them into one preallocated vertex array; the vertices are
+bit for bit those of evaluating the arcs directly.
 
 Coordinates are plain float64 numpy arrays of shape (n, 2).  A ``PolyShape``
 is a simple closed CCW loop, optionally with holes (for annuli); no exact or
@@ -12,8 +15,9 @@ symbolic kernel is involved anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +35,6 @@ __all__ = [
     "translate_shape",
 ]
 
-# Edge tag marking straight boundary pieces; arc pieces carry (center, radius).
-STRAIGHT = "straight"
-
 DEFAULT_SEGMENTS = 10_000
 
 
@@ -42,31 +43,25 @@ def signed_area(vertices: np.ndarray) -> float:
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
         raise ValueError(f"need at least 3 planar vertices, got shape {v.shape}")
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return 0.5 * float(np.sum(x * yn - xn * y))
+    w = np.concatenate((v, v[:1]))  # w[i] -> w[i+1] walks every edge
+    x, y = w[:, 0], w[:, 1]
+    return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
 def loop_length(vertices: np.ndarray) -> float:
     """Total edge length of a closed loop."""
     v = np.asarray(vertices, dtype=float)
-    return float(np.sum(np.hypot(*(np.roll(v, -1, axis=0) - v).T)))
+    w = np.concatenate((v, v[:1]))
+    d = w[1:] - w[:-1]
+    return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
 
 
 @dataclass(frozen=True)
 class PolyShape:
-    """A simple closed polygon (CCW), possibly with holes, with edge tags.
-
-    ``arc_tags`` is run-length encoded: a tuple of (edge_count, tag) pairs
-    covering the outer loop's edges in order, where tag is either STRAIGHT or
-    an (center_xy, radius) pair recording which smooth arc the edges sample.
-    ``segments_per_arc`` records the discretization the builders used.
-    """
+    """A simple closed polygon (CCW), possibly with holes."""
 
     vertices: np.ndarray
     holes: tuple[np.ndarray, ...] = ()
-    arc_tags: tuple[tuple[int, object], ...] = ()
-    segments_per_arc: int = 0
 
     def __post_init__(self) -> None:
         v = np.asarray(self.vertices, dtype=float)
@@ -98,19 +93,13 @@ def measure(shape: PolyShape) -> tuple[float, float]:
 
 def translate_shape(shape: PolyShape, dx: float, dy: float) -> PolyShape:
     off = np.array([dx, dy])
-    tags = tuple((n, t if t == STRAIGHT else ((t[0][0] + dx, t[0][1] + dy), t[1]))
-                 for n, t in shape.arc_tags)
-    return PolyShape(shape.vertices + off, tuple(h + off for h in shape.holes),
-                     tags, shape.segments_per_arc)
+    return PolyShape(shape.vertices + off, tuple(h + off for h in shape.holes))
 
 
 def scale_shape(shape: PolyShape, t: float) -> PolyShape:
     if not (t > 0.0):
         raise ValueError(f"scale factor must be > 0, got {t}")
-    tags = tuple((n, tag if tag == STRAIGHT else ((tag[0][0] * t, tag[0][1] * t), tag[1] * t))
-                 for n, tag in shape.arc_tags)
-    return PolyShape(shape.vertices * t, tuple(h * t for h in shape.holes),
-                     tags, shape.segments_per_arc)
+    return PolyShape(shape.vertices * t, tuple(h * t for h in shape.holes))
 
 
 def regular_polygon(sides: int, radius: float = 1.0) -> PolyShape:
@@ -119,28 +108,37 @@ def regular_polygon(sides: int, radius: float = 1.0) -> PolyShape:
         raise ValueError(f"need >= 3 sides, got {sides}")
     ang = 2.0 * math.pi * np.arange(sides) / sides
     verts = radius * np.column_stack([np.cos(ang), np.sin(ang)])
-    return PolyShape(verts, arc_tags=((sides, STRAIGHT),))
+    return PolyShape(verts)
 
 
-def _arc_points(center: np.ndarray, radius: float, a0: float, a1: float,
-                segments: int, include_start: bool) -> np.ndarray:
-    """Points on the arc from angle a0 to a1 (signed sweep), endpoints on the arc."""
-    n = max(int(segments), 1)
-    angles = np.linspace(a0, a1, n + 1)
-    if not include_start:
-        angles = angles[1:]
-    return center + radius * np.column_stack([np.cos(angles), np.sin(angles)])
+@functools.lru_cache(maxsize=32)
+def _unit_arc(a0: float, a1: float, segments: int) -> np.ndarray:
+    """Read-only (segments+1, 2) points of the unit circle from angle a0 to
+    a1 (signed sweep), both endpoints included."""
+    angles = np.linspace(a0, a1, segments + 1)
+    arc = np.column_stack([np.cos(angles), np.sin(angles)])
+    arc.flags.writeable = False
+    return arc
+
+
+def _put_arc(out: np.ndarray, center: tuple[float, float], radius: float,
+             a0: float, a1: float) -> None:
+    """Write the arc of ``radius`` around ``center`` into out's rows,
+    one vertex per row (len(out) - 1 segments)."""
+    np.multiply(_unit_arc(a0, a1, len(out) - 1), radius, out=out)
+    out[:, 0] += center[0]  # per column: a length-2 broadcast row is slow
+    out[:, 1] += center[1]
 
 
 def _dedupe(points: np.ndarray, tol: float = 1e-14) -> np.ndarray:
-    """Drop consecutive duplicates (and a duplicated closing vertex)."""
-    keep = np.ones(len(points), dtype=bool)
-    d = np.hypot(*(points[1:] - points[:-1]).T)
-    keep[1:] = d > tol
-    pts = points[keep]
-    if len(pts) > 1 and np.hypot(*(pts[0] - pts[-1])) <= tol:
-        pts = pts[:-1]
-    return pts
+    """Drop consecutive duplicates (and a duplicated closing vertex); the
+    input itself comes back when nothing is dropped."""
+    keep = np.hypot(*(points[1:] - points[:-1]).T) > tol
+    if not keep.all():
+        points = points[np.concatenate(([True], keep))]
+    if len(points) > 1 and np.hypot(*(points[0] - points[-1])) <= tol:
+        points = points[:-1]
+    return points
 
 
 def build_cut_corner_rectangle(length: float, t: float,
@@ -155,20 +153,14 @@ def build_cut_corner_rectangle(length: float, t: float,
         raise ValueError(f"need 0 < t <= min(1, L/2), got t={t}, L={length}")
     if segments < 4:
         raise ValueError(f"need >= 4 segments per arc, got {segments}")
-    hx, hy = length / 2.0, 1.0
-    centers = [((hx - t), -(hy - t)), ((hx - t), (hy - t)),
-               (-(hx - t), (hy - t)), (-(hx - t), -(hy - t))]
-    starts = [-0.5 * math.pi, 0.0, 0.5 * math.pi, math.pi]
-    parts = []
-    tags: list[tuple[int, object]] = []
-    for (cx, cy), a0 in zip(centers, starts):
-        arc = _arc_points(np.array([cx, cy]), t, a0, a0 + 0.5 * math.pi,
-                          segments, include_start=True)
-        parts.append(arc)
-        tags.append((segments, ((cx, cy), t)))
-        tags.append((1, STRAIGHT))  # edge to the next arc's first vertex
-    verts = _dedupe(np.vstack(parts))
-    return PolyShape(verts, arc_tags=tuple(tags), segments_per_arc=segments)
+    cx, cy = length / 2.0 - t, 1.0 - t
+    centers = ((cx, -cy), (cx, cy), (-cx, cy), (-cx, -cy))
+    starts = (-0.5 * math.pi, 0.0, 0.5 * math.pi, math.pi)
+    n = int(segments) + 1
+    verts = np.empty((4 * n, 2))
+    for k, (center, a0) in enumerate(zip(centers, starts)):
+        _put_arc(verts[k * n:(k + 1) * n], center, t, a0, a0 + 0.5 * math.pi)
+    return PolyShape(_dedupe(verts))
 
 
 def build_topped_substrip(m: float, segments: int = DEFAULT_SEGMENTS) -> PolyShape:
@@ -181,16 +173,11 @@ def build_topped_substrip(m: float, segments: int = DEFAULT_SEGMENTS) -> PolySha
         raise ValueError(f"substrip length must be >= 0, got {m}")
     if segments < 4:
         raise ValueError(f"need >= 4 segments per arc, got {segments}")
-    c_right = np.array([m / 2.0, 0.0])
-    c_left = np.array([-m / 2.0, 0.0])
-    right = _arc_points(c_right, 1.0, -0.5 * math.pi, 0.5 * math.pi,
-                        segments, include_start=True)
-    left = _arc_points(c_left, 1.0, 0.5 * math.pi, 1.5 * math.pi,
-                       segments, include_start=True)
-    verts = _dedupe(np.vstack([right, left]))
-    tags = ((segments, (tuple(c_right), 1.0)), (1, STRAIGHT),
-            (segments, (tuple(c_left), 1.0)), (1, STRAIGHT))
-    return PolyShape(verts, arc_tags=tags, segments_per_arc=segments)
+    n = int(segments) + 1
+    verts = np.empty((2 * n, 2))
+    _put_arc(verts[:n], (m / 2.0, 0.0), 1.0, -0.5 * math.pi, 0.5 * math.pi)
+    _put_arc(verts[n:], (-m / 2.0, 0.0), 1.0, 0.5 * math.pi, 1.5 * math.pi)
+    return PolyShape(_dedupe(verts))
 
 
 # ---------------------------------------------------------------------------

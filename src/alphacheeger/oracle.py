@@ -42,6 +42,12 @@ __all__ = [
 GOLDEN_MAX_ITER = 200
 PRESCAN_SAMPLES = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+SEARCH_TOL = 1e-9
+
+# Longest rectangle the oracle can resolve: golden section shrinks the
+# stadium bracket [0, L - 2] by _INVPHI per step and has GOLDEN_MAX_ITER
+# steps to bring it below SEARCH_TOL (L about 6e32).
+MAX_ORACLE_LENGTH = 2.0 + SEARCH_TOL / _INVPHI ** GOLDEN_MAX_ITER
 
 
 class NonUnimodalError(ValueError):
@@ -117,7 +123,7 @@ class RatioProblem:
     alpha: object
     lower: float
     upper: float
-    tolerance: float = 1e-9
+    tolerance: float = SEARCH_TOL
 
     def __post_init__(self):
         if not (self.upper > self.lower):
@@ -128,14 +134,14 @@ class RatioProblem:
 
     @classmethod
     def cut_corner(cls, length: float, alpha, segments: int,
-                   tolerance: float = 1e-9) -> "RatioProblem":
+                   tolerance: float = SEARCH_TOL) -> "RatioProblem":
         hi = min(1.0, length / 2.0)
         return cls(lambda t: build_cut_corner_rectangle(length, t, segments),
                    alpha, 1e-9 * hi, hi, tolerance)
 
     @classmethod
     def topped_substrip(cls, alpha, upper: float, segments: int,
-                        tolerance: float = 1e-9) -> "RatioProblem":
+                        tolerance: float = SEARCH_TOL) -> "RatioProblem":
         return cls(lambda m: build_topped_substrip(m, segments),
                    alpha, 0.0, upper, tolerance)
 
@@ -213,6 +219,12 @@ def oracle_rectangle(length: float, alpha,
     a = _alpha_value(alpha)
     if length < 2.0:
         raise ValueError(f"normalized length must be >= 2, got {length}")
+    if not (length <= MAX_ORACLE_LENGTH):
+        raise ValueError(
+            f"normalized length L={length} is beyond the polygonal oracle: "
+            f"its golden search over stadium lengths [0, L-2] cannot reach "
+            f"tolerance {SEARCH_TOL:g} in {GOLDEN_MAX_ITER} steps for "
+            f"L > {MAX_ORACLE_LENGTH:.3g}")
     coarse = _search_segments(segments)
 
     t_star, _ = solve_ratio_problem(RatioProblem.cut_corner(length, a, coarse))

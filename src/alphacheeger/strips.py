@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurveKind, StripCurve
-from .geometry import (PolyShape, STRAIGHT, first_segment_intersection,
-                       signed_area)
+from .geometry import PolyShape, first_segment_intersection, signed_area
 
 __all__ = [
     "FitResult",
@@ -84,12 +83,8 @@ def build_strip_polygon(curve: StripCurve,
     if curve.kind is CurveKind.ANNULUS:
         area_lo, area_hi = abs(signed_area(lo)), abs(signed_area(hi))
         outer, inner = (lo, hi) if area_lo >= area_hi else (hi, lo)
-        return PolyShape(_ccw(outer), holes=(_ccw(inner),),
-                         arc_tags=((len(outer), STRAIGHT),),
-                         segments_per_arc=len(lo))
-    boundary = np.vstack([lo, hi[::-1]])
-    return PolyShape(_ccw(boundary), arc_tags=((len(boundary), STRAIGHT),),
-                     segments_per_arc=len(lo))
+        return PolyShape(_ccw(outer), holes=(_ccw(inner),))
+    return PolyShape(_ccw(np.vstack([lo, hi[::-1]])))
 
 
 def _offset_run(curve: StripCurve, level: float, s_a: float,
@@ -128,12 +123,6 @@ def _cap_boundary(center: np.ndarray, tangent: np.ndarray, normal: np.ndarray,
             + np.outer(np.sin(phi), normal))
 
 
-def _check_tags(vertices: np.ndarray, tags: tuple[tuple[int, object], ...]) -> None:
-    covered = sum(n for n, _ in tags)
-    if covered != len(vertices):
-        raise AssertionError(f"edge tags cover {covered} edges, loop has {len(vertices)}")
-
-
 def build_topped_substrip_on_curve(curve: StripCurve, s0: float, m: float,
                                    segments: int = 256) -> PolyShape:
     """Polygon of the capped substrip anchored at arclength s0.
@@ -156,15 +145,10 @@ def build_topped_substrip_on_curve(curve: StripCurve, s0: float, m: float,
     cap_fwd = _cap_boundary(p1, t1, n1, +1.0, segments + 1)[1:]
     cap_back = _cap_boundary(p0, t0, n0, -1.0, segments + 1)[::-1][1:-1]
     boundary = np.vstack([bottom, cap_fwd, top[::-1][1:], cap_back])
-    tags = ((len(bottom) - 1, STRAIGHT),
-            (segments, ((float(p1[0]), float(p1[1])), 1.0)),
-            (len(top) - 1, STRAIGHT),
-            (segments, ((float(p0[0]), float(p0[1])), 1.0)))
-    _check_tags(boundary, tags)
     area = signed_area(boundary)
     if area <= 0.0:
         raise ValueError(f"degenerate capped substrip (signed area {area})")
-    return PolyShape(boundary, arc_tags=tags, segments_per_arc=segments)
+    return PolyShape(boundary)
 
 
 def _end_offset_crossing(curve: StripCurve, end: int, level: float,
@@ -251,19 +235,10 @@ def build_cut_corner_strip(curve: StripCurve, t: float,
     arc_tl = _arc_between(c_tl, t, o_tl, f_tl, segments)[1:]
     arc_bl = _arc_between(c_bl, t, f_bl, o_bl, segments)[:-1]
     boundary = np.vstack([bottom, arc_br, arc_tr, top[::-1][1:], arc_tl, arc_bl])
-
-    def tag(c):
-        return ((float(c[0]), float(c[1])), t)
-
-    tags = ((len(bottom) - 1, STRAIGHT), (segments, tag(c_br)),
-            (1, STRAIGHT), (segments, tag(c_tr)),
-            (len(top) - 1, STRAIGHT), (segments, tag(c_tl)),
-            (1, STRAIGHT), (segments, tag(c_bl)))
-    _check_tags(boundary, tags)
     area = signed_area(boundary)
     if area <= 0.0:
         raise ValueError(f"degenerate corner-cut strip (signed area {area})")
-    return PolyShape(boundary, arc_tags=tags, segments_per_arc=segments)
+    return PolyShape(boundary)
 
 
 @dataclass(frozen=True)

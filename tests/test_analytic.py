@@ -77,6 +77,9 @@ def test_alpha_domain_checks():
         h_alpha_strip_limit(2.0)
     with pytest.raises(ValueError):
         h_alpha_rectangle(10.0, 0.5)
+    for fn in (m_of_alpha, h_alpha_strip_limit, lambda a: h_alpha_rectangle(3.0, a)):
+        with pytest.raises(ValueError, match="alpha=nan outside domain"):
+            fn(math.nan)
 
 
 def test_alpha_guard_band():
@@ -256,6 +259,12 @@ def test_rectangle_normalization():
         Rectangle.from_sides(0.0, 4.0)
     with pytest.raises(ValueError):
         Rectangle(1.5)
+    # non-finite sides, and a side ratio whose normalized length overflows
+    for sides in ((math.inf, 2.0), (2.0, math.nan), (1e-300, 1e300)):
+        with pytest.raises(ValueError):
+            Rectangle.from_sides(*sides)
+    assert Rectangle.from_sides(1e308, 1e308).length == 2.0
+    assert Rectangle.from_sides(1.0, 1e300).length == 2e300
 
 
 def test_solution_record_validation():

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 from xml.etree import ElementTree as ET
@@ -259,7 +260,39 @@ def test_environment_variable_sets_the_default_resolution(run, monkeypatch):
     assert gaps["200"] > 50.0 * gaps["3200"]
 
 
-def test_alpha_validation_exits_with_usage_code(run):
+def test_alpha_validation_exits_with_usage_code(run, curve_file):
     code, _, err = run("rect", "--length", "3", "--alpha", "2.5")
     assert code == 2
     assert "outside domain" in err
+    u_path = curve_file("u.json", {
+        "primitive": "path",
+        "pieces": [["line", 6], ["arc", 1.6, math.pi], ["line", 4]],
+    })
+    ring = curve_file("ring.json", {"primitive": "circle", "radius": 6})
+    for argv in (("rect", "--length", "3"), ("strip", u_path), ("strip", ring)):
+        code, out, err = run(*argv, "--alpha", "nan")
+        assert code == 2
+        assert out == ""
+        assert err == "error: alpha=nan outside domain (1.0, 2.0)\n"
+
+
+def test_rect_rejects_overflowing_sides(run):
+    code, out, err = run("rect", "--sides", "1e-300", "1e300", "--alpha", "1.5")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "1e-300 x 1e+300" in err and "overflows" in err
+    code, out, err = run("rect", "--sides", "1", "inf", "--alpha", "1.5")
+    assert code == 2
+    assert "positive and finite" in err
+
+
+def test_rect_verify_names_a_length_beyond_the_oracle(run):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow would raise here
+        code, out, err = run("rect", "--length", "1e308", "--alpha", "1.5",
+                             "--verify")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: normalized length L=1e+308 is beyond")

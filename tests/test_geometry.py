@@ -21,7 +21,8 @@ from alphacheeger import (
     stadium_perimeter,
     translate_shape,
 )
-from alphacheeger.geometry import first_segment_intersection, polyline_is_simple
+from alphacheeger.geometry import (_unit_arc, first_segment_intersection,
+                                   polyline_is_simple)
 
 SQUARE = PolyShape(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]))
 
@@ -94,6 +95,83 @@ def test_scaling_law_on_measures(t):
     area_s, perim_s = measure(scale_shape(shape, t))
     assert area_s == pytest.approx(t * t * area, rel=1e-12)
     assert perim_s == pytest.approx(t * perim, rel=1e-12)
+
+
+def _direct_arc(center, radius, a0, a1, segments):
+    angles = np.linspace(a0, a1, segments + 1)
+    return np.asarray(center) + radius * np.column_stack([np.cos(angles),
+                                                          np.sin(angles)])
+
+
+def _direct_dedupe(points, tol=1e-14):
+    keep = np.ones(len(points), dtype=bool)
+    keep[1:] = np.hypot(*(points[1:] - points[:-1]).T) > tol
+    pts = points[keep]
+    if np.hypot(*(pts[0] - pts[-1])) <= tol:
+        pts = pts[:-1]
+    return pts
+
+
+@pytest.mark.parametrize("length,t,segments", [
+    (2.0, 1.0, 16), (2.0, 0.3, 64), (3.0, 1.0, 100), (5.0, 0.7, 1000),
+    (50.0, 1e-9, 257), (2.5, 0.999, 4),
+])
+def test_cut_corner_builder_is_the_direct_formula_bit_for_bit(length, t, segments):
+    cx, cy = length / 2.0 - t, 1.0 - t
+    arcs = [_direct_arc((x, y), t, a0, a0 + 0.5 * math.pi, segments)
+            for (x, y), a0 in zip(((cx, -cy), (cx, cy), (-cx, cy), (-cx, -cy)),
+                                  (-0.5 * math.pi, 0.0, 0.5 * math.pi, math.pi))]
+    expected = _direct_dedupe(np.vstack(arcs))
+    got = build_cut_corner_rectangle(length, t, segments).vertices
+    assert np.array_equal(got, expected)
+    # coincident arc ends (an edge of length 2 - 2t or L - 2t vanishes) drop
+    degenerate = t == 1.0 or t == length / 2.0
+    assert (len(got) < 4 * (segments + 1)) == degenerate
+
+
+@pytest.mark.parametrize("m,segments", [(0.0, 8), (0.0, 1000), (1e-12, 64),
+                                        (3.0, 1000), (47.3, 333)])
+def test_stadium_builder_is_the_direct_formula_bit_for_bit(m, segments):
+    expected = _direct_dedupe(np.vstack([
+        _direct_arc((m / 2.0, 0.0), 1.0, -0.5 * math.pi, 0.5 * math.pi, segments),
+        _direct_arc((-m / 2.0, 0.0), 1.0, 0.5 * math.pi, 1.5 * math.pi, segments),
+    ]))
+    got = build_topped_substrip(m, segments).vertices
+    assert np.array_equal(got, expected)
+    assert (len(got) < 2 * (segments + 1)) == (m == 0.0)
+
+
+def _rolled_shoelace(loop):
+    x, y = loop[:, 0], loop[:, 1]
+    area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    length = float(np.sum(np.hypot(*(np.roll(loop, -1, axis=0) - loop).T)))
+    return area, length
+
+
+def test_measure_is_the_rolled_shoelace_bit_for_bit():
+    rng = np.random.Generator(np.random.Philox(11))
+    for n in (3, 4, 17, 1000, 4004):
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+        radii = rng.uniform(0.5, 2.0, n) * rng.uniform(1e-3, 1e3)
+        loop = (np.column_stack([np.cos(angles), np.sin(angles)]) * radii[:, None]
+                + rng.uniform(-1e3, 1e3, 2))
+        area, length = _rolled_shoelace(loop)
+        assert measure(PolyShape(loop)) == (area, length)
+    outer = build_topped_substrip(2.0, 500).vertices
+    hole = 0.5 * regular_polygon(300).vertices[::-1]  # clockwise hole
+    expected_area = _rolled_shoelace(outer)[0] - abs(_rolled_shoelace(hole)[0])
+    expected_perim = _rolled_shoelace(outer)[1] + _rolled_shoelace(hole)[1]
+    assert measure(PolyShape(outer, holes=(hole,))) == (expected_area, expected_perim)
+
+
+def test_unit_arc_template_is_cached_and_read_only():
+    arc = _unit_arc(0.0, 0.5 * math.pi, 32)
+    assert _unit_arc(0.0, 0.5 * math.pi, 32) is arc
+    assert np.array_equal(arc, _direct_arc((0.0, 0.0), 1.0, 0.0, 0.5 * math.pi, 32))
+    with pytest.raises(ValueError):
+        arc[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        arc *= 2.0
 
 
 def test_cut_corner_builder_validates_radius():

@@ -32,6 +32,7 @@ from alphacheeger import (
     stadium_area,
     stadium_perimeter,
 )
+from alphacheeger.oracle import MAX_ORACLE_LENGTH
 
 
 def test_golden_section_parabola():
@@ -188,3 +189,14 @@ def test_monte_carlo_stadium_within_four_sigma():
 def test_monte_carlo_requires_enough_samples():
     with pytest.raises(ValueError):
         monte_carlo_area(regular_polygon(16), 999, seed=0)
+
+
+def test_oracle_rectangle_refuses_lengths_its_search_cannot_resolve():
+    with pytest.raises(ValueError, match=r"L=1e\+308 is beyond"):
+        oracle_rectangle(1e308, 1.5, 100)
+    with pytest.raises(ValueError, match="L=inf is beyond"):
+        oracle_rectangle(math.inf, 1.5, 100)
+    # at the limit the stadium search still converges to the strip optimum
+    sol = oracle_rectangle(MAX_ORACLE_LENGTH, 1.5, 100)
+    assert sol.kind is SolutionKind.TOPPED_SUBSTRIP
+    assert sol.h_alpha == pytest.approx(h_alpha_strip_limit(1.5), rel=1e-3)
