@@ -8,7 +8,6 @@ procedures in ``classifier``, figures in ``render`` and the command line in
 """
 
 from .analytic import (
-    Alpha,
     CASE_BOUNDARY_RTOL,
     CaseError,
     CheegerSolution,
@@ -16,19 +15,16 @@ from .analytic import (
     SolutionKind,
     alpha_bar,
     annulus_substrip_wins,
-    ball_ratio,
     corner_radius,
     cut_corner_area,
     cut_corner_perimeter,
     diameter_bound,
     free_boundary_radius,
-    h_alpha_rectangle,
     h_alpha_strip_limit,
     m_of_alpha,
     scale_constant,
     stadium_area,
     stadium_perimeter,
-    unit_ball_volume,
 )
 from .classifier import (
     CaseTag,
@@ -37,6 +33,7 @@ from .classifier import (
     classify_annulus,
     classify_open_strip,
     classify_rectangle,
+    h_alpha_rectangle,
 )
 from .curves import (
     Annulus,
@@ -67,7 +64,6 @@ from .geometry import (
 )
 from .oracle import (
     NonUnimodalError,
-    RatioProblem,
     golden_section_min,
     min_cut_corner_ratio,
     min_stadium_ratio,
@@ -76,7 +72,7 @@ from .oracle import (
     oracle_rectangle,
     oracle_strip,
     ratio,
-    solve_ratio_problem,
+    search_cut_corner_strip,
 )
 from .strips import (
     FitResult,

@@ -9,6 +9,8 @@ where P is the perimeter.  In the plane the problem is non-trivial exactly for
 handled elsewhere in this package) the minimizers have an explicit structure,
 and everything in this module is a direct closed-form evaluation: no meshes,
 no optimization.  The numerical cross-checks live in ``alphacheeger.oracle``.
+The rectangle's three-way case split at L = M(alpha) + 2 is made once, by
+``classifier.classify_rectangle``, which also serves ``h_alpha_rectangle``.
 
 All rectangles are normalized to R_L = (-L/2, L/2) x (-1, 1) with L >= 2;
 ``Rectangle.from_sides`` maps an arbitrary a x b box onto that normal form.
@@ -19,11 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
 
 __all__ = [
-    "Alpha",
-    "AlphaLike",
     "CaseError",
     "CheegerSolution",
     "Ordering",
@@ -31,83 +30,35 @@ __all__ = [
     "SolutionKind",
     "alpha_bar",
     "annulus_substrip_wins",
-    "ball_ratio",
     "corner_radius",
     "cut_corner_area",
     "cut_corner_perimeter",
     "diameter_bound",
     "free_boundary_radius",
-    "h_alpha_rectangle",
     "h_alpha_strip_limit",
     "m_of_alpha",
     "scale_constant",
     "stadium_area",
     "stadium_perimeter",
-    "unit_ball_volume",
 ]
 
 # Relative tolerance for deciding L == M(alpha) + 2 (the boundary between the
-# short-rectangle and long-rectangle regimes).  Shared with the classifier so
-# both modules split cases identically.
+# short-rectangle and long-rectangle regimes).  classify_rectangle splits the
+# cases with it, and corner_radius admits lengths up to the band's top.
 CASE_BOUNDARY_RTOL = 1e-9
-
-# Default guard band keeping alpha away from the singular endpoints 1 and 2.
-DEFAULT_ALPHA_GUARD = 1e-6
 
 
 class CaseError(ValueError):
     """A closed form was evaluated outside the regime where it is valid."""
 
 
-@dataclass(frozen=True)
-class Alpha:
-    """A validated Cheeger exponent.
-
-    The admissible range in dimension n is 1 < alpha < n/(n-1); outside it the
-    infimum is either not attained or trivially zero/degenerate.  ``guard``
-    keeps the value strictly inside the open interval so downstream powers
-    like (alpha-1)^(1-1/alpha) stay well conditioned.  The endpoint values
-    themselves are never constructible; limit evaluations take plain floats.
-    """
-
-    value: float
-    n: int = 2
-    guard: float = DEFAULT_ALPHA_GUARD
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"dimension must be >= 2, got n={self.n}")
-        if not (self.guard >= 0.0):
-            raise ValueError(f"guard band must be >= 0, got {self.guard}")
-        crit = self.critical
-        lo, hi = 1.0 + self.guard, crit - self.guard
-        if not (lo <= self.value <= hi) or not (1.0 < self.value < crit):
-            raise ValueError(
-                f"alpha={self.value} outside admissible band "
-                f"[{lo}, {hi}] for n={self.n} (critical exponent {crit})"
-            )
-
-    @property
-    def critical(self) -> float:
-        """The critical exponent n/(n-1); alpha must stay below it."""
-        return self.n / (self.n - 1)
-
-
-AlphaLike = Union[Alpha, float]
-
-
-def _alpha_value(alpha: AlphaLike, lo: float = 1.0, hi: float = 2.0,
+def _alpha_value(alpha: float, lo: float = 1.0, hi: float = 2.0,
                  lo_open: bool = True, hi_open: bool = True) -> float:
-    """Coerce Alpha-or-float to a float, range-checking the float path.
+    """Range-check an exponent against the interval between lo and hi.
 
-    Floats are accepted so callers can evaluate limits (alpha -> 1, alpha = 2)
-    that the Alpha type deliberately refuses to represent.
+    The bounds are open by default; closing one lets a caller evaluate a
+    limit (alpha = 1, alpha = 2) of its formula.
     """
-    if isinstance(alpha, Alpha):
-        if alpha.n != 2:
-            raise ValueError(
-                f"planar formula requires n=2, got Alpha with n={alpha.n}")
-        return alpha.value
     a = float(alpha)
     if (math.isnan(a) or (a < lo or (lo_open and a == lo))
             or (a > hi or (hi_open and a == hi))):
@@ -217,7 +168,7 @@ class Ordering(str, Enum):
 _FOUR_MINUS_PI = 4.0 - math.pi
 
 
-def m_of_alpha(alpha: AlphaLike) -> float:
+def m_of_alpha(alpha: float) -> float:
     """Optimal straight length of a capped substrip (stadium) for exponent alpha.
 
     M(alpha) = (pi/2) (2 - alpha)/(alpha - 1).  Strictly decreasing on (1, 2),
@@ -262,15 +213,7 @@ def stadium_perimeter(m: float) -> float:
     return 2.0 * m + 2.0 * math.pi
 
 
-def _is_short_rectangle(length: float, a: float) -> bool:
-    """True when L < M(alpha) + 2 beyond the shared boundary tolerance."""
-    if math.isinf(length):
-        return False
-    threshold = m_of_alpha(a) + 2.0
-    return length < threshold * (1.0 - CASE_BOUNDARY_RTOL)
-
-
-def corner_radius(length: float, alpha: AlphaLike) -> float:
+def corner_radius(length: float, alpha: float) -> float:
     """Radius of the corner arcs of the minimizer of a short rectangle.
 
     Valid for 2 <= L <= M(alpha) + 2; the radius is the smaller root of
@@ -286,8 +229,8 @@ def corner_radius(length: float, alpha: AlphaLike) -> float:
     a = _alpha_value(alpha, lo_open=False)
     if not (length >= 2.0):
         raise ValueError(f"normalized rectangle length must be >= 2, got {length}")
-    if math.isinf(length) or (a > 1.0 and not _is_short_rectangle(length, a)
-                              and length > (m_of_alpha(a) + 2.0) * (1.0 + CASE_BOUNDARY_RTOL)):
+    if math.isinf(length) or (a > 1.0 and length > (m_of_alpha(a) + 2.0)
+                              * (1.0 + CASE_BOUNDARY_RTOL)):
         raise CaseError(
             f"L={length} exceeds M(alpha)+2={m_of_alpha(a) + 2.0}: the minimizer "
             f"is a capped-substrip family; use the classifier instead")
@@ -307,7 +250,7 @@ def corner_radius(length: float, alpha: AlphaLike) -> float:
     return r
 
 
-def h_alpha_strip_limit(alpha: AlphaLike) -> float:
+def h_alpha_strip_limit(alpha: float) -> float:
     """Cheeger constant of the infinite strip R x (-1, 1).
 
     Equals alpha (pi/(alpha-1))^(1-1/alpha), the shape ratio of the optimal
@@ -317,74 +260,20 @@ def h_alpha_strip_limit(alpha: AlphaLike) -> float:
     return a * (math.pi / (a - 1.0)) ** (1.0 - 1.0 / a)
 
 
-def h_alpha_rectangle(length: float, alpha: AlphaLike) -> float:
-    """Generalized Cheeger constant of R_L = (-L/2, L/2) x (-1, 1).
-
-    Two regimes, continuous at L = M(alpha) + 2 (equivalently alpha =
-    alpha_bar(L)):
-
-    * long rectangles (L >= M(alpha) + 2, including L = +inf): the strip
-      value alpha (pi/(alpha-1))^(1-1/alpha);
-    * short rectangles: the shape ratio of the cut-corner set at the
-      radius given by ``corner_radius``.
-    """
-    a = _alpha_value(alpha)
-    if not (length >= 2.0):
-        raise ValueError(f"normalized rectangle length must be >= 2, got {length}")
-    if _is_short_rectangle(length, a):
-        r = corner_radius(length, a)
-        return cut_corner_perimeter(length, r) / cut_corner_area(length, r) ** (1.0 / a)
-    return h_alpha_strip_limit(a)
-
-
-def unit_ball_volume(n: int) -> float:
-    """Volume of the unit ball in R^n via the two-step recursion."""
-    if n < 0:
-        raise ValueError(f"dimension must be >= 0, got {n}")
-    vol = [1.0, 2.0]  # omega_0, omega_1
-    if n <= 1:
-        return vol[n]
-    for k in range(2, n + 1):
-        vol.append(vol[-2] * 2.0 * math.pi / k)
-    return vol[n]
-
-
-def ball_ratio(n: int, r: float, alpha: AlphaLike) -> float:
-    """Shape ratio P(B_r)/|B_r|^(1/alpha) of the n-ball of radius r.
-
-    Equals n omega_n^(1-1/alpha) r^(n-1-n/alpha).  Scale-invariant exactly at
-    the critical exponent n/(n-1), where the float path permits the boundary
-    value itself (read-only limit; Alpha cannot represent it).
-    """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    if not (r > 0.0):
-        raise ValueError(f"radius must be > 0, got {r}")
-    crit = n / (n - 1)
-    if isinstance(alpha, Alpha):
-        if alpha.n != n:
-            raise ValueError(f"Alpha has n={alpha.n} but ball dimension is {n}")
-        a = alpha.value
-    else:
-        a = _alpha_value(alpha, hi=crit, hi_open=False)
-    omega = unit_ball_volume(n)
-    return n * omega ** (1.0 - 1.0 / a) * r ** (n - 1 - n / a)
-
-
-def scale_constant(h: float, t: float, alpha: AlphaLike) -> float:
+def scale_constant(h: float, t: float, alpha: float) -> float:
     """Transform a Cheeger constant under the homothety x -> t x.
 
-    h_alpha(t Omega) = t^(n-1-n/alpha) h_alpha(Omega); in the plane the
-    exponent is 1 - 2/alpha < 0, so enlarging the domain lowers the constant.
+    h_alpha(t Omega) = t^(1 - 2/alpha) h_alpha(Omega); the exponent is
+    negative, so enlarging the domain lowers the constant.  The float path
+    accepts alpha = 2, where the constant is scale-invariant.
     """
     if not (t > 0.0):
         raise ValueError(f"scale factor must be > 0, got {t}")
-    n = alpha.n if isinstance(alpha, Alpha) else 2
-    a = _alpha_value(alpha, hi=n / (n - 1), hi_open=False)
-    return t ** (n - 1 - n / a) * h
+    a = _alpha_value(alpha, hi_open=False)
+    return h * t ** (1.0 - 2.0 / a)
 
 
-def free_boundary_radius(h: float, area: float, alpha: AlphaLike) -> float:
+def free_boundary_radius(h: float, area: float, alpha: float) -> float:
     """Curvature radius of the free boundary of a generalized Cheeger set.
 
     The free boundary of a minimizer with constant h and measure |E| consists
@@ -397,7 +286,7 @@ def free_boundary_radius(h: float, area: float, alpha: AlphaLike) -> float:
     return (a / h) * area ** (1.0 - 1.0 / a)
 
 
-def diameter_bound(alpha: AlphaLike) -> float:
+def diameter_bound(alpha: float) -> float:
     """Upper bound for the diameter of rectangle/strip generalized Cheeger sets.
 
     Any Cheeger set E of a half-width-1 rectangle or strip satisfies
@@ -414,7 +303,7 @@ def diameter_bound(alpha: AlphaLike) -> float:
     return 0.5 * h_inf ** (a / (a - 1.0))
 
 
-def annulus_substrip_wins(spine_length: float, alpha: AlphaLike,
+def annulus_substrip_wins(spine_length: float, alpha: float,
                           eps_tie: float = 1e-9) -> Ordering:
     """Compare capped substrips against the whole annulus of spine length L.
 

@@ -2,8 +2,9 @@
 
 Rectangles are handled by closed forms end to end.  Open strips with a
 genuinely curved spine need two numeric ingredients: the cut-corner case has
-no closed-form radius, so it is golden-searched over polygonal builds, and
-the capped-substrip family needs the fit scanner for its placements (its
+no closed-form radius, so it is golden-searched over polygonal builds (by
+``oracle.search_cut_corner_strip``, shared with the oracle), and the
+capped-substrip family needs the fit scanner for its placements (its
 measures stay the curvature-independent closed forms).  Generalized annuli
 compare the substrip family against the whole domain, whose measures
 (2L, 2L) are exact for every admissible closed spine.
@@ -42,9 +43,9 @@ from .analytic import (
 )
 from .curves import (Annulus, CurveKind, CurveValidationError, StripCurve,
                      densify, retruncate)
-from .geometry import DEFAULT_SEGMENTS, measure
-from .oracle import golden_section_min, ratio
-from .strips import FitResult, build_cut_corner_strip, fit_topped_substrip
+from .geometry import DEFAULT_SEGMENTS
+from .oracle import search_cut_corner_strip
+from .strips import FitResult, fit_topped_substrip
 
 # Shortest supported spine; the structure results need L >= 9 pi / 2 and
 # shorter strips are refused rather than guessed at.
@@ -159,31 +160,33 @@ def classify_rectangle(length: float, alpha) -> StripClassification:
     return StripClassification(CaseTag.TOPPED_FAMILY, solution, evidence)
 
 
+def h_alpha_rectangle(length: float, alpha) -> float:
+    """Generalized Cheeger constant of R_L = (-L/2, L/2) x (-1, 1).
+
+    The ratio of ``classify_rectangle``'s solution: continuous across the
+    case boundary L = M(alpha) + 2, equal to the strip value
+    h_alpha_strip_limit(alpha) for every longer L including +inf.
+    """
+    return classify_rectangle(length, alpha).solution.h_alpha
+
+
 def _cut_corner_strip_classification(curve: StripCurve, a: float, segments: int,
                                      evidence: dict[str, object]) -> StripClassification:
     """Unique cut-corner solution on a curved spine, radius by golden section.
 
     There is no closed form for the corner radius off the straight spine, so
-    the family built by ``build_cut_corner_strip`` is minimized numerically,
-    at full polygonal resolution throughout (the builds are vectorized and
-    cheap enough).  The stationarity relation r = (alpha/h) |E|^(1-1/alpha)
-    is recorded as a residual for a-posteriori checking; it is meaningful
-    only when the optimum is interior (r < 1).
+    ``search_cut_corner_strip`` minimizes the family numerically, at full
+    polygonal resolution throughout (the builds are vectorized and cheap
+    enough).  The stationarity relation r = (alpha/h) |E|^(1-1/alpha) is
+    recorded as a residual for a-posteriori checking; it is meaningful only
+    when the optimum is interior (r < 1).
     """
-    curve = densify(curve, segments)
-
-    def shape_ratio(t: float) -> float:
-        return ratio(build_cut_corner_strip(curve, t, segments), a)
-
-    t_star, _ = golden_section_min(shape_ratio, 1e-9, 1.0, 1e-9)
-    shape = build_cut_corner_strip(curve, t_star, segments)
-    area, perim = measure(shape)
-    h = perim / area ** (1.0 / a)
-    r = min(float(t_star), 1.0)
+    solution = search_cut_corner_strip(densify(curve, segments), a,
+                                       segments, segments)
+    r = solution.radius
     evidence["radius"] = r
-    evidence["radius_relation_residual"] = abs(free_boundary_radius(h, area, a) - r) / r
-    solution = CheegerSolution(kind=SolutionKind.CUT_CORNERS, h_alpha=h,
-                               area=area, perimeter=perim, unique=True, radius=r)
+    evidence["radius_relation_residual"] = abs(
+        free_boundary_radius(solution.h_alpha, solution.area, a) - r) / r
     return StripClassification(CaseTag.UNIQUE_CUT_CORNERS, solution, evidence)
 
 

@@ -23,7 +23,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .analytic import CaseError, CheegerSolution, Rectangle, SolutionKind
+from .analytic import (CaseError, CheegerSolution, Rectangle, SolutionKind,
+                       scale_constant)
 from .classifier import (StripClassification, classify_annulus,
                          classify_open_strip, classify_rectangle)
 from .curves import CurveKind, CurveValidationError, StripCurve, load_curve, retruncate
@@ -127,28 +128,41 @@ def parse_value_list(text: str) -> tuple[float, ...]:
 # Report formatting.  The classification block is shared by rect and strip so
 # a straight-spine strip reproduces the rectangle report byte for byte.
 
-def _scaled(sol: CheegerSolution, scale: float, alpha: float) -> dict[str, object]:
-    """Solution numbers mapped from the normalized frame to the user frame."""
-    power = scale ** (1.0 - 2.0 / alpha)
+def _scaled(sol: CheegerSolution, scale: float,
+            alpha: float) -> dict[str, object]:
+    """Solution numbers mapped from the normalized frame to the user frame.
+
+    A finite nonzero number that maps to a non-finite one, or below the
+    smallest normal float, is refused: the user frame cannot hold it.
+    """
+    def checked(name: str, u: float, v: float) -> float:
+        if (u != 0.0 and math.isfinite(u)
+                and not sys.float_info.min <= abs(v) < math.inf):
+            raise ValueError(f"the {name} {_g(u)} maps to {_g(v)} at scale "
+                             f"factor {_g(scale)}, outside the finite normal "
+                             f"floats")
+        return v
+
+    def length(name: str, x: float | None) -> float | None:
+        return None if x is None else checked(name, x, x * scale)
+
+    placements = sol.placements
     return {
-        "h_alpha": sol.h_alpha * power,
-        "area": sol.area * scale * scale,
-        "perimeter": sol.perimeter * scale,
-        "radius": None if sol.radius is None else sol.radius * scale,
-        "stadium_length": (None if sol.stadium_length is None
-                           else sol.stadium_length * scale),
-        "placements": (None if sol.placements is None
-                       else (sol.placements[0] * scale, sol.placements[1] * scale)),
+        "h_alpha": checked("h_alpha", sol.h_alpha,
+                           scale_constant(sol.h_alpha, scale, alpha)),
+        "area": checked("area", sol.area, sol.area * scale * scale),
+        "perimeter": length("perimeter", sol.perimeter),
+        "radius": length("radius", sol.radius),
+        "stadium_length": length("length M", sol.stadium_length),
+        "placements": (None if placements is None
+                       else (length("placement", placements[0]),
+                             length("placement", placements[1]))),
     }
 
 
-def solution_lines(sol: CheegerSolution, anchor_label: str,
-                   scale: float = 1.0, alpha: float = 0.0) -> list[str]:
-    values = _scaled(sol, scale, alpha) if scale != 1.0 else {
-        "h_alpha": sol.h_alpha, "area": sol.area, "perimeter": sol.perimeter,
-        "radius": sol.radius, "stadium_length": sol.stadium_length,
-        "placements": sol.placements,
-    }
+def solution_lines(sol: CheegerSolution, anchor_label: str, alpha: float,
+                   scale: float = 1.0) -> list[str]:
+    values = _scaled(sol, scale, alpha)
     lines = [f"h_alpha: {_g(values['h_alpha'])}"]
     if sol.kind is SolutionKind.CUT_CORNERS:
         lines.append(f"shape: cut-corner set, radius = {_g(values['radius'])}")
@@ -177,17 +191,17 @@ def _anchor_label(cls: StripClassification) -> str:
     return "start anchor s0"
 
 
-def classification_lines(cls: StripClassification, scale: float = 1.0,
-                         alpha: float = 0.0) -> list[str]:
+def classification_lines(cls: StripClassification, alpha: float,
+                         scale: float = 1.0) -> list[str]:
     case = cls.evidence.get("case")
     suffix = f" ({case})" if case else ""
     lines = [f"case: {cls.case_tag.value}{suffix}"]
-    lines += solution_lines(cls.solution, _anchor_label(cls), scale, alpha)
+    lines += solution_lines(cls.solution, _anchor_label(cls), alpha, scale)
     if cls.alternate is not None:
         lines.append("tie alternate:")
         lines += ["  " + ln for ln in solution_lines(cls.alternate,
                                                      _anchor_label(cls),
-                                                     scale, alpha)]
+                                                     alpha, scale)]
     return lines
 
 
@@ -270,7 +284,11 @@ def cmd_rect(args) -> int:
         lines.append(f"sides: {_g(a_side)} x {_g(b_side)} "
                      f"(scale factor {_g(scale)})")
     lines.append(f"alpha: {_g(args.alpha)}")
-    lines += classification_lines(cls, scale, args.alpha)
+    try:
+        lines += classification_lines(cls, args.alpha, scale)
+    except ValueError as exc:
+        raise ValueError(f"rectangle {_g(args.sides[0])} x "
+                         f"{_g(args.sides[1])}: {exc}") from None
 
     if args.mc_samples:
         sol = cls.solution
@@ -287,11 +305,11 @@ def cmd_rect(args) -> int:
             raise ValueError("cannot verify the infinite rectangle against "
                              "the polygonal oracle; pass a finite length")
         oracle = oracle_rectangle(length, args.alpha, segments=args.segments)
-        power = scale ** (1.0 - 2.0 / args.alpha)
         gap_rel = abs(oracle.h_alpha / cls.solution.h_alpha - 1.0)
-        gap_abs = abs(oracle.h_alpha - cls.solution.h_alpha) * power
-        lines.append(f"oracle_h: {_g(oracle.h_alpha * power)}")
-        lines.append(f"gap_abs: {_g(gap_abs)}")
+        gap_abs = abs(oracle.h_alpha - cls.solution.h_alpha)
+        lines.append(f"oracle_h: "
+                     f"{_g(scale_constant(oracle.h_alpha, scale, args.alpha))}")
+        lines.append(f"gap_abs: {_g(scale_constant(gap_abs, scale, args.alpha))}")
         lines.append(f"gap_rel: {_g(gap_rel)}")
         ok = gap_rel <= args.verify_tol
         lines.append(f"verify: {'PASS' if ok else 'FAIL'} "
@@ -369,7 +387,7 @@ def cmd_strip(args) -> int:
         cls = classify_annulus(curve, args.alpha)
     else:
         cls = classify_open_strip(curve, args.alpha, segments=args.segments)
-    lines += classification_lines(cls)
+    lines += classification_lines(cls, args.alpha)
     lines += evidence_lines(cls)
 
     if args.mc_samples:

@@ -3,16 +3,19 @@
 Everything here re-derives answers from polygonal measures and generic
 one-dimensional minimization, never from the closed forms, so agreement
 between this module and ``analytic`` is a real check rather than an echo.
-Two helpers (min_cut_corner_ratio, min_stadium_ratio) minimize the exact
-ratio formulas at extended precision; they exist because the double-precision
-golden-section noise floor sqrt(eps * f / f'') sits near 5e-8, above the
-1e-8 agreement targets.
+Every polygonal family search is ``golden_section_min`` over
+ratio(build(x), alpha).  One of them, ``search_cut_corner_strip``, also
+gives the classifier its curved cut-corner answer, so on curved case-(i)
+spines the oracle checks resolution rather than giving an independent
+value.  Two helpers (min_cut_corner_ratio, min_stadium_ratio) minimize the
+exact ratio formulas at extended precision; they exist because the
+double-precision golden-section noise floor sqrt(eps * f / f'') sits near
+5e-8, above the 1e-8 agreement targets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import mpmath as mp
@@ -27,7 +30,6 @@ from .strips import (build_cut_corner_strip, build_strip_polygon,
 
 __all__ = [
     "NonUnimodalError",
-    "RatioProblem",
     "golden_section_min",
     "min_cut_corner_ratio",
     "min_stadium_ratio",
@@ -36,7 +38,7 @@ __all__ = [
     "oracle_rectangle",
     "oracle_strip",
     "ratio",
-    "solve_ratio_problem",
+    "search_cut_corner_strip",
 ]
 
 GOLDEN_MAX_ITER = 200
@@ -114,43 +116,12 @@ def golden_section_min(f: Callable, a, b, tol, *,
     return x_star, f(x_star)
 
 
-@dataclass(frozen=True)
-class RatioProblem:
-    """One-parameter ratio-minimization task: a shape builder, an exponent,
-    parameter bounds, and a minimizer tolerance."""
-
-    build: Callable[[float], PolyShape]
-    alpha: object
-    lower: float
-    upper: float
-    tolerance: float = SEARCH_TOL
-
-    def __post_init__(self):
-        if not (self.upper > self.lower):
-            raise ValueError(f"need lower < upper, got "
-                             f"[{self.lower}, {self.upper}]")
-        if not (self.tolerance > 0):
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-
-    @classmethod
-    def cut_corner(cls, length: float, alpha, segments: int,
-                   tolerance: float = SEARCH_TOL) -> "RatioProblem":
-        hi = min(1.0, length / 2.0)
-        return cls(lambda t: build_cut_corner_rectangle(length, t, segments),
-                   alpha, 1e-9 * hi, hi, tolerance)
-
-    @classmethod
-    def topped_substrip(cls, alpha, upper: float, segments: int,
-                        tolerance: float = SEARCH_TOL) -> "RatioProblem":
-        return cls(lambda m: build_topped_substrip(m, segments),
-                   alpha, 0.0, upper, tolerance)
-
-
-def solve_ratio_problem(problem: RatioProblem) -> tuple[float, float]:
-    """(best parameter, best ratio) by golden section over the family."""
-    return golden_section_min(
-        lambda x: ratio(problem.build(x), problem.alpha),
-        problem.lower, problem.upper, problem.tolerance)
+def _min_ratio(build: Callable[[float], PolyShape], a: float,
+               lo: float, hi: float) -> float:
+    """Golden-section minimizer of x -> ratio(build(x), a) on [lo, hi]."""
+    x_star, _ = golden_section_min(lambda x: ratio(build(x), a), lo, hi,
+                                   SEARCH_TOL)
+    return x_star
 
 
 def min_cut_corner_ratio(length: float, alpha, tol: float = 1e-10,
@@ -227,15 +198,17 @@ def oracle_rectangle(length: float, alpha,
             f"L > {MAX_ORACLE_LENGTH:.3g}")
     coarse = _search_segments(segments)
 
-    t_star, _ = solve_ratio_problem(RatioProblem.cut_corner(length, a, coarse))
+    t_hi = min(1.0, length / 2.0)
+    t_star = _min_ratio(lambda t: build_cut_corner_rectangle(length, t, coarse),
+                        a, 1e-9 * t_hi, t_hi)
     cut_shape = build_cut_corner_rectangle(length, t_star, segments)
     cut_area, cut_perim = measure(cut_shape)
     h_cut = cut_perim / cut_area ** (1.0 / a)
 
     m_hi = length - 2.0
     if m_hi > 1e-9:
-        m_star, _ = solve_ratio_problem(
-            RatioProblem.topped_substrip(a, m_hi, coarse))
+        m_star = _min_ratio(lambda m: build_topped_substrip(m, coarse),
+                            a, 0.0, m_hi)
     else:
         m_star = 0.0
     top_shape = build_topped_substrip(m_star, segments)
@@ -277,8 +250,8 @@ def _best_feasible_stadium(curve: StripCurve, a: float, coarse: int,
     shrinks monotonically in m) and taken, since the ratio decreases up to
     the unconstrained minimizer.  Returns (None, None) if nothing fits.
     """
-    m_free, _ = solve_ratio_problem(
-        RatioProblem.topped_substrip(a, curve.length, coarse))
+    m_free = _min_ratio(lambda m: build_topped_substrip(m, coarse),
+                        a, 0.0, curve.length)
     fit = _coarse_fit(curve, m_free)
     if fit.any_feasible:
         return m_free, fit
@@ -296,6 +269,26 @@ def _best_feasible_stadium(curve: StripCurve, a: float, coarse: int,
     return lo, fit_lo
 
 
+def search_cut_corner_strip(curve: StripCurve, alpha, search_segments: int,
+                            segments: int) -> CheegerSolution:
+    """Best member of the cut-corner family on a finite spine.
+
+    Golden-searches the corner radius t in [1e-9, 1] over builds at
+    ``search_segments`` per arc, then measures the winner at ``segments``.
+    ``curve`` should already be densified to ``segments``.  This is the
+    classifier's case-(i) answer on curved spines (searched at full
+    resolution) and the oracle's cut-corner candidate (searched at a tenth).
+    """
+    a = _alpha_value(alpha)
+    t_star = _min_ratio(
+        lambda t: build_cut_corner_strip(curve, t, search_segments), a, 1e-9, 1.0)
+    area, perim = measure(build_cut_corner_strip(curve, t_star, segments))
+    return CheegerSolution(kind=SolutionKind.CUT_CORNERS,
+                           h_alpha=perim / area ** (1.0 / a), area=area,
+                           perimeter=perim, unique=True,
+                           radius=min(float(t_star), 1.0))
+
+
 def oracle_strip(curve: StripCurve, alpha,
                  segments: int = DEFAULT_SEGMENTS) -> CheegerSolution:
     """Best ratio over the candidate families living on a strip spine.
@@ -305,6 +298,11 @@ def oracle_strip(curve: StripCurve, alpha,
     capped-substrip family is searched over its length with fit feasibility
     enforced, then evaluated at one feasible anchor (all placements share the
     same measures).  Purely polygonal, mirroring oracle_rectangle.
+
+    The corner-cut search is ``search_cut_corner_strip``, the same search
+    the classifier runs in case (i) of a curved spine, here at a tenth of
+    the resolution.  There ``--verify`` is a resolution check, not an
+    independent witness.
     """
     a = _alpha_value(alpha)
     curve = densify(curve, segments)
@@ -312,16 +310,7 @@ def oracle_strip(curve: StripCurve, alpha,
     best: CheegerSolution | None = None
 
     if curve.kind is CurveKind.FINITE:
-        def g(t):
-            return ratio(build_cut_corner_strip(curve, t, coarse), a)
-
-        t_star, _ = golden_section_min(g, 1e-9, 1.0, 1e-9)
-        shape = build_cut_corner_strip(curve, t_star, segments)
-        area, perim = measure(shape)
-        best = CheegerSolution(kind=SolutionKind.CUT_CORNERS,
-                               h_alpha=perim / area ** (1.0 / a),
-                               area=area, perimeter=perim, unique=True,
-                               radius=min(t_star, 1.0))
+        best = search_cut_corner_strip(curve, a, coarse, segments)
     elif curve.kind is CurveKind.ANNULUS:
         shape = build_strip_polygon(curve)
         area, perim = measure(shape)

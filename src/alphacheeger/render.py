@@ -43,8 +43,10 @@ def shape_path_data(shape: PolyShape) -> str:
 
 def _bounds(loops: list[np.ndarray]) -> tuple[float, float, float, float]:
     stacked = np.vstack([np.asarray(lp, dtype=float) for lp in loops])
-    x_lo, y_lo = stacked.min(axis=0)
-    x_hi, y_hi = stacked.max(axis=0)
+    # Python floats overflow to inf silently, where numpy scalars would warn;
+    # render_figure then refuses the non-finite view box.
+    x_lo, y_lo = map(float, stacked.min(axis=0))
+    x_hi, y_hi = map(float, stacked.max(axis=0))
     return x_lo, y_lo, x_hi, y_hi
 
 
@@ -56,6 +58,7 @@ def render_figure(domain_loops: list[np.ndarray],
     ``domain_loops`` are ordered vertex arrays (closed implicitly); each
     solution is (shape, label) and becomes its own filled path with the
     label attached both as a path id and a <title> child for hover text.
+    Shapes too large for a finite view box and height raise ValueError.
     """
     all_loops = list(domain_loops)
     for shape, _ in solutions:
@@ -66,13 +69,17 @@ def render_figure(domain_loops: list[np.ndarray],
     pad = MARGIN_FRACTION * span
     view = (x_lo - pad, -(y_hi + pad), (x_hi - x_lo) + 2 * pad,
             (y_hi - y_lo) + 2 * pad)
+    height = 720.0 * view[3] / view[2]
+    if not all(map(math.isfinite, (*view, height))):
+        raise ValueError(f"cannot draw {title!r}: view box {view} and "
+                         f"height {height} must be finite")
 
     svg = ET.Element("svg", {
         "xmlns": "http://www.w3.org/2000/svg",
         "version": "1.1",
         "viewBox": " ".join(_fmt(v) for v in view),
         "width": "720",
-        "height": _fmt(720.0 * view[3] / view[2]),
+        "height": _fmt(height),
     })
     title_el = ET.SubElement(svg, "title")
     title_el.text = title

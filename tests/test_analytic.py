@@ -7,14 +7,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from alphacheeger import (
-    Alpha,
     CaseError,
     CheegerSolution,
     Ordering,
     SolutionKind,
     alpha_bar,
     annulus_substrip_wins,
-    ball_ratio,
+    classify_rectangle,
     corner_radius,
     cut_corner_area,
     cut_corner_perimeter,
@@ -26,7 +25,6 @@ from alphacheeger import (
     scale_constant,
     stadium_area,
     stadium_perimeter,
-    unit_ball_volume,
 )
 from alphacheeger.analytic import Rectangle
 
@@ -80,18 +78,6 @@ def test_alpha_domain_checks():
     for fn in (m_of_alpha, h_alpha_strip_limit, lambda a: h_alpha_rectangle(3.0, a)):
         with pytest.raises(ValueError, match="alpha=nan outside domain"):
             fn(math.nan)
-
-
-def test_alpha_guard_band():
-    Alpha(1.5)
-    with pytest.raises(ValueError):
-        Alpha(1.0 + 1e-7)  # inside the default guard band
-    with pytest.raises(ValueError):
-        Alpha(2.0)
-    # n = 3 moves the critical exponent down to 1.5
-    Alpha(1.4, n=3)
-    with pytest.raises(ValueError):
-        Alpha(1.6, n=3)
 
 
 def test_alpha_bar_endpoints():
@@ -148,36 +134,30 @@ def test_branch_values_agree_at_the_case_boundary(a):
     assert h_alpha_rectangle(length, a) == pytest.approx(h_family, rel=1e-10)
 
 
+def disk_ratio(r, a):
+    """P(B_r) / |B_r|^(1/alpha) of the planar disk of radius r."""
+    return 2 * math.pi * r / (math.pi * r * r) ** (1 / a)
+
+
 @given(alphas, st.floats(min_value=0.1, max_value=10.0))
 def test_scale_constant_matches_ball_rescaling(a, t):
     # h(t Omega) = t^(1 - 2/alpha) h(Omega), checked on disks where both
     # sides have closed forms
-    direct = ball_ratio(2, t * 1.0, a)
-    rescaled = scale_constant(ball_ratio(2, 1.0, a), t, a)
-    assert direct == pytest.approx(rescaled, rel=1e-10)
+    h = disk_ratio(1.0, a)
+    rescaled = scale_constant(h, t, a)
+    assert disk_ratio(t, a) == pytest.approx(rescaled, rel=1e-10)
+    assert rescaled == h * t ** (1.0 - 2.0 / a)  # the planar law, bit for bit
 
 
-def test_unit_ball_volume_small_dimensions():
-    assert unit_ball_volume(0) == 1.0
-    assert unit_ball_volume(1) == 2.0
-    assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-15)
-    assert unit_ball_volume(3) == pytest.approx(4 * math.pi / 3, rel=1e-15)
-    assert unit_ball_volume(4) == pytest.approx(math.pi ** 2 / 2, rel=1e-15)
-
-
-def test_ball_ratio_formula_and_critical_scale_invariance():
-    assert ball_ratio(2, 1.0, 1.5) == pytest.approx(
-        2 * math.pi / math.pi ** (2 / 3), rel=1e-12)
-    for n in (2, 3, 4):
-        a = 1.0 + 0.3 * (n / (n - 1) - 1.0)
-        omega = unit_ball_volume(n)
-        for r in (0.5, 1.0, 3.7):
-            expect = n * omega ** (1 - 1 / a) * r ** (n - 1 - n / a)
-            assert ball_ratio(n, r, a) == pytest.approx(expect, rel=1e-12)
-        # at the critical exponent the ratio does not depend on the radius
-        crit = n / (n - 1)
-        assert ball_ratio(n, 1.0, crit) == pytest.approx(
-            ball_ratio(n, 7.3, crit), rel=1e-12)
+def test_h_alpha_rectangle_is_the_classifier_ratio():
+    # one case split: the constant is classify_rectangle's, bit for bit,
+    # on a grid and inside the band around L = M(alpha) + 2
+    for a in (1.01 + 0.07 * k for k in range(15)):
+        boundary = m_of_alpha(a) + 2.0
+        band = [boundary * (1.0 + 2e-9 * k / 8) for k in range(-8, 9)]
+        for length in (2.0, 3.0, 5.0, 8.0, 21.0, 1e6, math.inf, *band):
+            assert (h_alpha_rectangle(length, a)
+                    == classify_rectangle(length, a).solution.h_alpha)
 
 
 @given(alphas)

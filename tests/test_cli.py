@@ -1,12 +1,16 @@
 """Command-line interface: reports, sweeps, verification, figures, errors."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from xml.etree import ElementTree as ET
 
 from alphacheeger import classify_rectangle, cli, m_of_alpha
@@ -285,6 +289,14 @@ def test_rect_rejects_overflowing_sides(run):
     code, out, err = run("rect", "--sides", "1", "inf", "--alpha", "1.5")
     assert code == 2
     assert "positive and finite" in err
+    # sides whose rescaled solution area overflows or underflows
+    for sides, named in ((("1e308", "1e308"), "1e+308 x 1e+308"),
+                         (("1e-200", "1e-200"), "1e-200 x 1e-200")):
+        code, out, err = run("rect", "--sides", *sides, "--alpha", "1.5")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert named in err and "outside the finite normal floats" in err
 
 
 def test_rect_verify_names_a_length_beyond_the_oracle(run):
@@ -296,3 +308,57 @@ def test_rect_verify_names_a_length_beyond_the_oracle(run):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: normalized length L=1e+308 is beyond")
+
+
+def test_rect_svg_refuses_an_overflowing_figure(run, tmp_path):
+    target = tmp_path / "x.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow would raise here
+        code, out, err = run("rect", "--length", "1e308", "--alpha", "1.5",
+                             "--svg", target)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "must be finite" in err
+    assert not target.exists()
+
+
+_NUMBER = re.compile(r"(?<![\w.+-])[-+]?(?:inf|nan|\d+(?:\.\d*)?(?:e[-+]?\d+)?)(?![\w.])")
+_EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0,
+                             5e-324, 1e-200, 1e200, 1e308])
+
+
+def _fuzz(lo, hi, typical):
+    """repr() of a float: anywhere in [lo, hi], in a typical range, or extreme."""
+    return st.one_of(st.floats(lo, hi), st.floats(*typical), _EXTREMES).map(repr)
+
+
+@settings(max_examples=100)
+@given(length=_fuzz(2.0, 1e308, (2.0, 60.0)),
+       sides=st.none() | st.tuples(_fuzz(1e-300, 1e300, (0.1, 100.0)),
+                                   _fuzz(1e-300, 1e300, (0.1, 100.0))),
+       alpha=_fuzz(1.0, 2.0, (1.05, 1.95)), verify=st.booleans())
+def test_rect_argv_fuzz_exits_cleanly(length, sides, alpha, verify):
+    argv = ["rect", f"--alpha={alpha}"]
+    argv += [f"--length={length}"] if sides is None else ["--sides", *sides]
+    if verify:
+        argv += ["--verify", "--segments", "64"]
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refusing a malformed argv
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert not caught
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    if code == 0:
+        for line in out.getvalue().splitlines():
+            # the infinite strip echoes its own length and placement ends
+            if sides is None and math.isinf(float(length)) and line.startswith(
+                    ("domain:", "placements:")):
+                continue
+            for token in _NUMBER.findall(line):
+                assert math.isfinite(float(token)), line

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from alphacheeger import (
     NonUnimodalError,
-    RatioProblem,
     SolutionKind,
-    ball_ratio,
+    build_cut_corner_rectangle,
     build_topped_substrip,
     corner_radius,
     golden_section_min,
@@ -28,7 +27,6 @@ from alphacheeger import (
     ratio,
     regular_polygon,
     scale_shape,
-    solve_ratio_problem,
     stadium_area,
     stadium_perimeter,
 )
@@ -75,7 +73,8 @@ def test_reference_minimizer_stadium():
 
 def test_ratio_of_a_disk_matches_the_ball_formula():
     disk = regular_polygon(4096)
-    assert ratio(disk, 1.5) == pytest.approx(ball_ratio(2, 1.0, 1.5), rel=1e-6)
+    disk_formula = 2 * math.pi / math.pi ** (1 / 1.5)  # 2 pi r / (pi r^2)^(1/a)
+    assert ratio(disk, 1.5) == pytest.approx(disk_formula, rel=1e-6)
 
 
 def test_ratio_of_the_optimal_stadium_matches_the_strip_limit():
@@ -91,18 +90,14 @@ def test_ratio_scaling_law(t, a):
     assert scaled == pytest.approx(t ** (1.0 - 2.0 / a) * ratio(shape, a), rel=1e-10)
 
 
-def test_ratio_problem_validation():
-    with pytest.raises(ValueError):
-        RatioProblem(build=lambda t: regular_polygon(16), alpha=1.5,
-                     lower=1.0, upper=1.0)
-    with pytest.raises(ValueError):
-        RatioProblem(build=lambda t: regular_polygon(16), alpha=1.5,
-                     lower=0.0, upper=1.0, tolerance=-1e-9)
+def search_family(build, a, lo, hi):
+    """Golden search of ratio(build(x), a), the oracle's family search."""
+    return golden_section_min(lambda x: ratio(build(x), a), lo, hi, 1e-9)
 
 
 def test_solve_ratio_problem_cut_corner_family(segments, oracle_rtol):
-    problem = RatioProblem.cut_corner(4.0, 1.2, segments)
-    t_star, h_star = solve_ratio_problem(problem)
+    t_star, h_star = search_family(
+        lambda t: build_cut_corner_rectangle(4.0, t, segments), 1.2, 1e-9, 1.0)
     assert h_star == pytest.approx(h_alpha_rectangle(4.0, 1.2), rel=oracle_rtol)
     assert t_star == pytest.approx(corner_radius(4.0, 1.2), abs=100 * oracle_rtol)
 
@@ -128,9 +123,10 @@ def test_oracle_rectangle_long_cell(segments, oracle_rtol):
 
 def test_oracle_families_tie_at_the_case_boundary(segments, oracle_rtol):
     length = m_of_alpha(1.5) + 2.0
-    t_star, h_cut = solve_ratio_problem(RatioProblem.cut_corner(length, 1.5, segments))
-    m_star, h_top = solve_ratio_problem(
-        RatioProblem.topped_substrip(1.5, length - 2.0, segments))
+    _, h_cut = search_family(
+        lambda t: build_cut_corner_rectangle(length, t, segments), 1.5, 1e-9, 1.0)
+    _, h_top = search_family(
+        lambda m: build_topped_substrip(m, segments), 1.5, 0.0, length - 2.0)
     assert h_cut == pytest.approx(h_top, rel=10 * oracle_rtol)
 
 
