@@ -41,8 +41,7 @@ from .analytic import (
     stadium_area,
     stadium_perimeter,
 )
-from .curves import (Annulus, CurveKind, CurveValidationError, StripCurve,
-                     densify, retruncate)
+from .curves import Annulus, CurveKind, StripCurve, densify, retruncate
 from .geometry import DEFAULT_SEGMENTS
 from .oracle import search_cut_corner_strip
 from .strips import FitResult, fit_topped_substrip
@@ -232,9 +231,7 @@ def classify_open_strip(curve: StripCurve, alpha, *,
     a = _alpha_value(alpha)
     if curve.kind is CurveKind.ANNULUS:
         raise ValueError("closed spine: classify_annulus handles annuli")
-    problems = curve.validate()
-    if problems:
-        raise CurveValidationError(problems)
+    curve.require_admissible()
 
     kappa_max = float(np.abs(curve.curvature()).max())
     straight = kappa_max <= STRAIGHT_SPINE_KAPPA_TOL
@@ -304,9 +301,7 @@ def classify_annulus(annulus: Annulus | StripCurve, alpha) -> StripClassificatio
     if isinstance(annulus, StripCurve):
         annulus = Annulus(annulus)
     spine = annulus.spine
-    problems = spine.validate()
-    if problems:
-        raise CurveValidationError(problems)
+    spine.require_admissible()
     length = annulus.spine_length
     if length < MIN_SPINE_LENGTH * (1.0 - 1e-12):
         raise ValueError(

@@ -16,6 +16,7 @@ and "annulus" (closed spine).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ __all__ = [
     "curve_from_samples",
     "curve_from_source",
     "load_curve",
+    "offset_crossings",
     "parse_curve",
 ]
 
@@ -44,6 +46,10 @@ DEFAULT_SAMPLE_COUNT = 2048  # default arclength step is length / 2048
 
 CURVATURE_SLACK = 1e-6   # |kappa| <= 1 + slack passes the admissibility check
 FRAME_TOL = 1e-8         # unit-tangent / closure tolerance
+# Largest accepted spine length, radius, angle or sample coordinate: beyond
+# it the product of three sample chords (discrete curvature) can overflow.
+# Spine lengths below the reciprocal would sample at a step that underflows.
+MAX_SPINE_SCALE = 1e100
 
 
 class CurveKind(str, Enum):
@@ -221,23 +227,31 @@ class StripCurve:
     def s_values(self) -> np.ndarray:
         return self.ds * np.arange(len(self.points))
 
-    def frame_at(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(point, tangent, normal) at arclength s; analytic when possible."""
+    def frames(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(points, tangents, normals), each (n, 2), at the arclengths s;
+        analytic when possible, else interpolated between samples."""
+        s = np.asarray(s, dtype=float)
         if self.kind is CurveKind.ANNULUS:
             s = s % self.length
         if self.source is not None:
-            pts, tan = self.source.frame(np.array([s]))
-            t = tan[0] / np.hypot(*tan[0])
-            return pts[0], t, np.array([-t[1], t[0]])
-        if not (-1e-12 <= s <= self.length + 1e-12):
-            raise ValueError(f"arclength {s} outside [0, {self.length}]")
-        x = min(max(s, 0.0) / self.ds, len(self.points) - 1.0)
-        i = min(int(x), len(self.points) - 2)
-        w = x - i
-        p = (1.0 - w) * self.points[i] + w * self.points[i + 1]
-        t = (1.0 - w) * self.tangents[i] + w * self.tangents[i + 1]
-        t = t / np.hypot(*t)
-        return p, t, np.array([-t[1], t[0]])
+            p, tan = self.source.frame(s)
+        else:
+            outside = ~((s >= -1e-12) & (s <= self.length + 1e-12))
+            if outside.any():
+                raise ValueError(f"arclength {s[outside][0]} outside "
+                                 f"[0, {self.length}]")
+            x = np.minimum(np.maximum(s, 0.0) / self.ds, len(self.points) - 1.0)
+            i = np.minimum(x.astype(np.intp), len(self.points) - 2)
+            w = (x - i)[:, None]
+            p = (1.0 - w) * self.points[i] + w * self.points[i + 1]
+            tan = (1.0 - w) * self.tangents[i] + w * self.tangents[i + 1]
+        t = tan / np.hypot(tan[:, 0], tan[:, 1])[:, None]
+        return p, t, _left_normal(t)
+
+    def frame_at(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(point, tangent, normal) at arclength s; see ``frames``."""
+        p, t, n = self.frames(np.array([s]))
+        return p[0], t[0], n[0]
 
     def offset(self, level: float) -> np.ndarray:
         """The parallel polyline Psi(s, level) at all samples."""
@@ -281,24 +295,45 @@ class StripCurve:
             if gap > FRAME_TOL or tgap > FRAME_TOL:
                 bad.append(f"annulus spine not closed: position gap {gap:.3e}, "
                            f"tangent gap {tgap:.3e}")
-        # The offset map is injective iff the two boundary offsets are simple
-        # and disjoint; report the first offending segment pair.
         if not bad:
             closed = self.kind is CurveKind.ANNULUS
             lo = self.offset(-1.0)
             hi = self.offset(+1.0)
             if closed:
                 lo, hi = lo[:-1], hi[:-1]
-            for name, path in (("t=-1", lo), ("t=+1", hi)):
-                pair = first_segment_intersection(path, closed_a=closed)
-                if pair is not None:
-                    bad.append(f"offset {name} self-intersects: segments "
-                               f"{pair[0]} and {pair[1]}")
-            pair = first_segment_intersection(lo, hi, closed_a=closed, closed_b=closed)
-            if pair is not None:
-                bad.append(f"offsets t=-1 and t=+1 intersect: segments "
-                           f"{pair[0]} and {pair[1]}")
+            for which, (i, j) in offset_crossings(lo, hi, closed):
+                bad.append({
+                    "lower": f"offset t=-1 self-intersects: segments {i} and {j}",
+                    "upper": f"offset t=+1 self-intersects: segments {i} and {j}",
+                    "between": f"offsets t=-1 and t=+1 intersect: segments {i} and {j}",
+                }[which])
         return bad
+
+    @functools.cached_property
+    def violations(self) -> tuple[str, ...]:
+        """``validate()``, evaluated once per curve object."""
+        return tuple(self.validate())
+
+    def require_admissible(self) -> None:
+        """Raise CurveValidationError listing the violated invariants, if any."""
+        if self.violations:
+            raise CurveValidationError(list(self.violations))
+
+
+def offset_crossings(lower: np.ndarray, upper: np.ndarray, closed: bool):
+    """The injectivity tests of the offset map, lazily and in order.
+
+    The map is injective iff the offset polylines at t = -1 and t = +1 are
+    each simple and do not cross each other.  Yields (which, (i, j)) for
+    each failed test, ``which`` being "lower", "upper" or "between", with
+    the first crossing segment pair.
+    """
+    for which, path, other in (("lower", lower, None), ("upper", upper, None),
+                               ("between", lower, upper)):
+        pair = first_segment_intersection(path, other, closed_a=closed,
+                                          closed_b=closed)
+        if pair is not None:
+            yield which, pair
 
 
 def _menger(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -316,8 +351,9 @@ def curve_from_source(source, ds: float | None = None,
                       n_samples: int | None = None) -> StripCurve:
     """Sample an analytic source at uniform arclength."""
     length = source.length
-    if not (length > 0.0) or not math.isfinite(length):
-        raise ValueError(f"source must have finite positive length, got {length}")
+    if not 1.0 / MAX_SPINE_SCALE <= length <= MAX_SPINE_SCALE:
+        raise ValueError(f"spine length must lie in [{1.0 / MAX_SPINE_SCALE:g}, "
+                         f"{MAX_SPINE_SCALE:g}], got {length}")
     if ds is None:
         n = n_samples if n_samples is not None else DEFAULT_SAMPLE_COUNT
         ds = length / n
@@ -350,9 +386,15 @@ def curve_from_samples(samples: np.ndarray, kind: CurveKind,
     central differences.  For kind ANNULUS the sequence is treated as closed
     (a duplicated endpoint is accepted and normalized away).
     """
-    pts = np.asarray(samples, dtype=float)
+    try:
+        pts = np.asarray(samples, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("curve samples must be a list of [x, y] number pairs") from None
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 4:
         raise ValueError(f"need an (n, 2) array with n >= 4, got {pts.shape}")
+    if not (np.abs(pts) <= MAX_SPINE_SCALE).all():
+        raise ValueError(f"curve samples must be finite with magnitude at most "
+                         f"{MAX_SPINE_SCALE:g}")
     closed = kind is CurveKind.ANNULUS
     if closed and np.hypot(*(pts[0] - pts[-1])) > 1e-12:
         pts = np.vstack([pts, pts[0]])
@@ -361,6 +403,9 @@ def curve_from_samples(samples: np.ndarray, kind: CurveKind,
         raise ValueError("input samples contain coincident consecutive points")
     cum = np.concatenate([[0.0], np.cumsum(chord)])
     length = float(cum[-1])
+    if not 1.0 / MAX_SPINE_SCALE <= length <= MAX_SPINE_SCALE:
+        raise ValueError(f"curve samples span a length {length:g} outside "
+                         f"[{1.0 / MAX_SPINE_SCALE:g}, {MAX_SPINE_SCALE:g}]")
     if ds is None:
         ds = length / DEFAULT_SAMPLE_COUNT
     n_steps = max(int(round(length / ds)), 8)
@@ -412,33 +457,85 @@ class Annulus:
 PROVISIONAL_WINDOW = 64.0  # realized length for infinite spines until re-truncation
 
 
+def _real(value, field: str) -> float:
+    """A finite number of magnitude at most MAX_SPINE_SCALE, or ValueError
+    naming the field."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"curve {field} must be a number, got {value!r}") from None
+    if not abs(x) <= MAX_SPINE_SCALE:
+        raise ValueError(f"curve {field} must be finite with magnitude at most "
+                         f"{MAX_SPINE_SCALE:g}, got {x!r}")
+    return x
+
+
+def _field(spec: dict, key: str, default=None) -> float:
+    if key not in spec and default is None:
+        raise ValueError(f"curve spec needs a {key!r} entry")
+    return _real(spec.get(key, default), key)
+
+
+def _kind(spec: dict) -> CurveKind:
+    raw = spec.get("kind", "finite")
+    try:
+        return CurveKind(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"unknown curve kind {raw!r}") from None
+
+
+def _positive(value, field: str) -> float:
+    x = _real(value, field)
+    if not x > 0.0:
+        raise ValueError(f"curve {field} must be > 0, got {x!r}")
+    return x
+
+
+def _path_pieces(raw) -> tuple[tuple, ...]:
+    """Path pieces checked one by one: ["line", length] or
+    ["arc", radius, signed_angle], with positive lengths and radii."""
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ValueError(f"path pieces must be a non-empty list, got {raw!r}")
+    pieces = []
+    for k, p in enumerate(raw):
+        if isinstance(p, (list, tuple)) and len(p) == 2 and p[0] == "line":
+            pieces.append(("line", _positive(p[1], f"pieces[{k}] length")))
+        elif isinstance(p, (list, tuple)) and len(p) == 3 and p[0] == "arc":
+            pieces.append(("arc", _positive(p[1], f"pieces[{k}] radius"),
+                           _real(p[2], f"pieces[{k}] angle")))
+        else:
+            raise ValueError(f'path piece {k} must be ["line", length] or '
+                             f'["arc", radius, angle], got {p!r}')
+    return tuple(pieces)
+
+
 def parse_curve(spec: dict, ds: float | None = None) -> StripCurve:
-    """Build a StripCurve from a parsed JSON object (see module docstring)."""
+    """Build a StripCurve from a parsed JSON object (see module docstring).
+
+    Every number is checked once here: a non-numeric, non-finite or
+    overflowing (beyond MAX_SPINE_SCALE) length, radius, angle or sample
+    raises ValueError naming its field.
+    """
     if not isinstance(spec, dict):
         raise ValueError(f"curve spec must be a JSON object, got {type(spec).__name__}")
     if "primitive" in spec:
         prim = spec["primitive"]
-        kind = CurveKind(spec.get("kind", "finite")) if prim != "circle" else CurveKind.ANNULUS
+        kind = _kind(spec) if prim != "circle" else CurveKind.ANNULUS
         if prim == "segment":
-            if kind in (CurveKind.SEMI_INFINITE, CurveKind.INFINITE):
-                length = float(spec.get("length", PROVISIONAL_WINDOW))
-            else:
-                length = float(spec["length"])
+            window = kind in (CurveKind.SEMI_INFINITE, CurveKind.INFINITE)
+            length = _field(spec, "length", PROVISIONAL_WINDOW if window else None)
             source = SegmentSpec(length=length, kind=kind)
         elif prim == "circle":
-            source = CircleSpec(radius=float(spec["radius"]))
+            source = CircleSpec(radius=_field(spec, "radius"))
         elif prim == "arc":
-            source = ArcSpec(radius=float(spec["radius"]), angle=float(spec["angle"]))
+            source = ArcSpec(radius=_field(spec, "radius"), angle=_field(spec, "angle"))
         elif prim == "path":
-            pieces = tuple(tuple(p) for p in spec["pieces"])
-            source = PathSpec(pieces=pieces, kind=kind)
+            source = PathSpec(pieces=_path_pieces(spec.get("pieces")), kind=kind)
         else:
             raise ValueError(f"unknown primitive {prim!r}")
         return curve_from_source(source, ds=ds)
     if "samples" in spec:
-        kind = CurveKind(spec.get("kind", "finite"))
-        return curve_from_samples(np.asarray(spec["samples"], dtype=float),
-                                  kind=kind, ds=ds)
+        return curve_from_samples(spec["samples"], kind=_kind(spec), ds=ds)
     raise ValueError("curve spec needs a 'primitive' or 'samples' entry")
 
 
@@ -447,9 +544,7 @@ def load_curve(path: str, ds: float | None = None) -> StripCurve:
     with open(path, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     curve = parse_curve(spec, ds=ds)
-    violations = curve.validate()
-    if violations:
-        raise CurveValidationError(violations)
+    curve.require_admissible()
     return curve
 
 

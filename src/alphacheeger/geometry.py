@@ -11,6 +11,15 @@ bit for bit those of evaluating the arcs directly.
 Coordinates are plain float64 numpy arrays of shape (n, 2).  A ``PolyShape``
 is a simple closed CCW loop, optionally with holes (for annuli); no exact or
 symbolic kernel is involved anywhere.
+
+The all-pairs kernels (segment crossings, point containment, points near a
+polyline) draw their candidate pairs from one uniform-grid bucket index,
+``_Grid``: item boxes are registered in every cell they touch, the cell
+keys are sorted once, and queries find their cells with ``searchsorted``.
+Cells come from a floor that is monotone under rounding, so a pair whose
+boxes meet always shares a cell; the exact test then runs on the
+candidates only, with the same arithmetic as an every-pair scan, and gives
+the same answer bit for bit.
 """
 
 from __future__ import annotations
@@ -28,9 +37,10 @@ __all__ = [
     "contains_points",
     "first_segment_intersection",
     "measure",
-    "polyline_is_simple",
+    "points_near_segments",
     "regular_polygon",
     "scale_shape",
+    "segment_distances",
     "signed_area",
     "translate_shape",
 ]
@@ -181,47 +191,155 @@ def build_topped_substrip(m: float, segments: int = DEFAULT_SEGMENTS) -> PolySha
 
 
 # ---------------------------------------------------------------------------
-# Point containment and segment intersection (vectorized, chunked).
+# Uniform-grid bucket index: the candidate pairs of the all-pairs kernels.
 
-_CHUNK = 4_000_000  # max broadcast cells per block, keeps memory bounded
+_CHUNK = 4_000_000  # max candidate pairs per block, keeps memory bounded
+_MAX_CELLS = 1 << 20  # cells per axis, keeps int64 cell keys exact
 
+
+def _finite_max(values: np.ndarray) -> np.ndarray:
+    """Column maxima over the finite entries (0 where there are none)."""
+    return np.max(np.where(np.isfinite(values), values, 0.0), axis=0,
+                  initial=0.0)
+
+
+class _Grid:
+    """Uniform-grid bucket index over axis-aligned item boxes (1-D or 2-D).
+
+    Each item box [lo, hi] is registered in every cell it touches; the
+    (cell key, item) entries are sorted once and a query box finds the items
+    of the cells it touches with ``searchsorted``.  A cell coordinate is
+    floor((x - origin) / cell), monotone in x under rounding, so an item box
+    that meets a query box always shares a cell with it: the candidates are
+    a superset of the overlapping items (a pair repeats when both boxes
+    span several shared cells; a point query touches one cell, so its
+    candidates are distinct).  Items and queries with a non-finite
+    coordinate take part in no pair.
+    """
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, cell) -> None:
+        finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
+        lo, hi = lo[finite], hi[finite]
+        self.origin = lo.min(axis=0) if len(lo) else np.zeros(lo.shape[1])
+        span = hi.max(axis=0) - self.origin if len(hi) else np.zeros(lo.shape[1])
+        cell = np.maximum(np.asarray(cell, dtype=float), span / _MAX_CELLS)
+        self.cell = np.where(cell > 0.0, cell, 1.0)
+        self.shape = np.floor(span / self.cell).astype(np.int64) + 1
+        keys, items = self._entries(self._coords(lo), self._coords(hi),
+                                    np.flatnonzero(finite))
+        order = np.argsort(keys, kind="stable")
+        self.keys, self.items = keys[order], items[order]
+
+    def _coords(self, x: np.ndarray) -> np.ndarray:
+        """Cell coordinates, clipped to one cell beyond the grid each way."""
+        with np.errstate(over="ignore"):  # far coordinates clip like +-inf
+            c = np.floor((x - self.origin) / self.cell)
+        return np.clip(c, -1, self.shape).astype(np.int64)
+
+    def _entries(self, c0: np.ndarray, c1: np.ndarray,
+                 ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(cell key, id) for every cell of each coordinate box [c0, c1];
+        the entries of one id stay contiguous and in id order."""
+        keys = np.zeros(len(ids), dtype=np.int64)
+        for ax in range(c0.shape[1]):
+            n = c1[:, ax] - c0[:, ax] + 1
+            rep = np.repeat(np.arange(len(ids)), n)
+            step = np.arange(len(rep)) - np.repeat(np.cumsum(n) - n, n)
+            keys = keys[rep] * self.shape[ax] + c0[rep, ax] + step
+            ids, c0, c1 = ids[rep], c0[rep], c1[rep]
+        return keys, ids
+
+    def pairs(self, lo: np.ndarray, hi: np.ndarray | None = None):
+        """Yield (query, item) index arrays of candidate pairs for query boxes
+        [lo, hi] (points when hi is None), in blocks of whole queries in
+        ascending order, each of at most _CHUNK pairs unless one query
+        alone has more."""
+        hi = lo if hi is None else hi
+        finite = np.flatnonzero(np.isfinite(lo).all(axis=1)
+                                & np.isfinite(hi).all(axis=1))
+        c0 = np.maximum(self._coords(lo[finite]), 0)
+        c1 = np.minimum(self._coords(hi[finite]), self.shape - 1)
+        hit = (c0 <= c1).all(axis=1)
+        qkeys, qids = self._entries(c0[hit], c1[hit], finite[hit])
+        start = np.searchsorted(self.keys, qkeys, "left")
+        count = np.searchsorted(self.keys, qkeys, "right") - start
+        per_query = np.cumsum(np.bincount(qids, weights=count,
+                                          minlength=len(lo)))
+        q = 0
+        while q < len(lo):
+            done = per_query[q - 1] if q else 0.0
+            q_end = max(int(np.searchsorted(per_query, done + _CHUNK, "right")),
+                        q + 1)
+            e0, e1 = np.searchsorted(qids, (q, q_end))
+            n = count[e0:e1]
+            if n.sum():
+                offs = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+                yield (np.repeat(qids[e0:e1], n),
+                       self.items[np.repeat(start[e0:e1], n) + offs])
+            q = q_end
+
+
+def segment_distances(p: np.ndarray, a: np.ndarray, ab: np.ndarray,
+                      ab2: np.ndarray) -> np.ndarray:
+    """Distance from each point p[k] to the segment a[k] + [0, 1] ab[k]
+    (ab2[k] = |ab[k]|^2, nonzero), clamping the foot to the segment."""
+    ap = p - a
+    tt = np.clip((ap[:, 0] * ab[:, 0] + ap[:, 1] * ab[:, 1]) / ab2, 0.0, 1.0)
+    closest = a + tt[:, None] * ab
+    return np.hypot(*(p - closest).T)
+
+
+# ---------------------------------------------------------------------------
+# Point containment and segment intersection.
 
 def _crossing_inside(loop: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Even-odd ray-casting containment of pts in a closed loop."""
+    """Even-odd ray-casting containment of pts in a closed loop.
+
+    A point is cast only against the edges bucketed in its y-band: an edge
+    whose y-range misses the band cannot straddle the point's ordinate.
+    Bands are sized so that each edge lands in about two of them.
+    """
     x1, y1 = loop[:, 0], loop[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    px, py = pts[:, 0], pts[:, 1]
-    inside = np.zeros(len(pts), dtype=bool)
-    step = max(1, _CHUNK // max(len(loop), 1))
-    for lo in range(0, len(pts), step):
-        sl = slice(lo, lo + step)
-        pxs = px[sl][:, None]
-        pys = py[sl][:, None]
-        straddles = (y1 > pys) != (y2 > pys)
+    dy = np.abs(y2 - y1)
+    band = dy[np.isfinite(dy)].sum() / len(loop)
+    bands = _Grid(np.minimum(y1, y2)[:, None], np.maximum(y1, y2)[:, None], band)
+    crossings = np.zeros(len(pts), dtype=np.int64)
+    for p, e in bands.pairs(pts[:, 1:]):
+        py = pts[p, 1]
+        straddles = (y1[e] > py) != (y2[e] > py)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xcross = x1 + (pys - y1) * (x2 - x1) / (y2 - y1)
-        hits = straddles & (pxs < xcross)
-        inside[sl] = np.bitwise_xor.reduce(hits, axis=1)
-    return inside
+            xcross = x1[e] + (py - y1[e]) * (x2[e] - x1[e]) / (y2[e] - y1[e])
+        hits = straddles & (pts[p, 0] < xcross)
+        crossings += np.bincount(p[hits], minlength=len(pts))
+    return crossings % 2 == 1
 
 
-def _dist_to_loop(loop: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Min distance from each point to the loop's edges."""
-    a = loop
-    b = np.roll(loop, -1, axis=0)
-    ab = b - a
+def points_near_segments(pts: np.ndarray, a: np.ndarray, ab: np.ndarray,
+                         ab2: np.ndarray, reach: float) -> np.ndarray:
+    """Which points lie within distance ``reach`` of some segment
+    a[k] + [0, 1] ab[k] (ab2 = |ab|^2, nonzero), by ``segment_distances``.
+
+    Only segments whose box, grown by reach and a rounding margin, covers
+    the point's grid cell are measured; every segment within reach is
+    among them, so the verdict is that of the minimum over all segments.
+    """
+    scale = float(_finite_max(np.abs(a)).max())
+    grow = reach + 1e-9 * (reach + scale)
+    lo, hi = np.minimum(a, a + ab), np.maximum(a, a + ab)
+    cell = np.maximum(_finite_max(hi - lo), 0.5 * grow)
+    near = np.zeros(len(pts), dtype=bool)
+    for p, e in _Grid(lo - grow, hi + grow, cell).pairs(pts):
+        close = segment_distances(pts[p], a[e], ab[e], ab2[e]) <= reach
+        near[p[close]] = True
+    return near
+
+
+def _near_loop(loop: np.ndarray, pts: np.ndarray, tol: float) -> np.ndarray:
+    """Which points lie within distance tol of the loop's edges."""
+    ab = np.roll(loop, -1, axis=0) - loop
     ab2 = np.einsum("ij,ij->i", ab, ab)
-    ab2 = np.where(ab2 == 0.0, 1.0, ab2)
-    best = np.full(len(pts), np.inf)
-    step = max(1, _CHUNK // max(len(loop), 1))
-    for lo in range(0, len(pts), step):
-        sl = slice(lo, lo + step)
-        ap = pts[sl][:, None, :] - a[None, :, :]
-        tt = np.clip(np.einsum("pij,ij->pi", ap, ab) / ab2, 0.0, 1.0)
-        closest = a[None, :, :] + tt[:, :, None] * ab[None, :, :]
-        d = np.hypot(*(pts[sl][:, None, :] - closest).transpose(2, 0, 1))
-        best[sl] = d.min(axis=1)
-    return best
+    return points_near_segments(pts, loop, ab, np.where(ab2 == 0.0, 1.0, ab2), tol)
 
 
 def contains_points(shape: PolyShape, pts: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -238,12 +356,12 @@ def contains_points(shape: PolyShape, pts: np.ndarray, tol: float = 0.0) -> np.n
     for hole in shape.holes:
         inside &= ~_crossing_inside(hole, pts)
     if tol > 0.0:
-        doubtful = ~inside
-        if doubtful.any():
-            d = _dist_to_loop(shape.vertices, pts[doubtful])
-            for hole in shape.holes:
-                d = np.minimum(d, _dist_to_loop(hole, pts[doubtful]))
-            inside[doubtful] = d <= tol
+        doubtful = np.flatnonzero(~inside)
+        if len(doubtful):
+            near = np.zeros(len(doubtful), dtype=bool)
+            for loop in (shape.vertices, *shape.holes):
+                near |= _near_loop(loop, pts[doubtful], tol)
+            inside[doubtful] = near
     return inside
 
 
@@ -267,9 +385,11 @@ def first_segment_intersection(path_a: np.ndarray, path_b: np.ndarray | None = N
     """First properly-crossing segment pair within a path or between two paths.
 
     With one argument, tests the path against itself (adjacent segments
-    excluded).  Returns (i, j) segment indices or None.  Bounding-box
-    prefiltered, chunked O(n m) in the comparisons but with the exact
-    orientation test only on box-overlapping pairs.
+    excluded).  Returns the lexicographically first (i, j) segment indices
+    or None.  Candidate pairs come from a uniform grid with cells as large
+    as the largest segment box; only pairs whose bounding boxes overlap get
+    the exact orientation test.  Segments with a non-finite coordinate never
+    cross.
     """
     def segs(path, closed):
         p = np.asarray(path, dtype=float)
@@ -279,40 +399,23 @@ def first_segment_intersection(path_a: np.ndarray, path_b: np.ndarray | None = N
 
     a0, a1 = segs(path_a, closed_a)
     self_test = path_b is None
-    if self_test:
-        b0, b1 = a0, a1
-    else:
-        b0, b1 = segs(path_b, closed_b)
-    n, m = len(a0), len(b0)
-    ax_lo, ax_hi = np.minimum(a0[:, 0], a1[:, 0]), np.maximum(a0[:, 0], a1[:, 0])
-    ay_lo, ay_hi = np.minimum(a0[:, 1], a1[:, 1]), np.maximum(a0[:, 1], a1[:, 1])
-    bx_lo, bx_hi = np.minimum(b0[:, 0], b1[:, 0]), np.maximum(b0[:, 0], b1[:, 0])
-    by_lo, by_hi = np.minimum(b0[:, 1], b1[:, 1]), np.maximum(b0[:, 1], b1[:, 1])
-    step = max(1, _CHUNK // max(m, 1))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        overlap = ((ax_lo[lo:hi, None] <= bx_hi[None, :])
-                   & (ax_hi[lo:hi, None] >= bx_lo[None, :])
-                   & (ay_lo[lo:hi, None] <= by_hi[None, :])
-                   & (ay_hi[lo:hi, None] >= by_lo[None, :]))
+    b0, b1 = (a0, a1) if self_test else segs(path_b, closed_b)
+    m = len(b0)
+    if len(a0) == 0 or m == 0:
+        return None
+    a_lo, a_hi = np.minimum(a0, a1), np.maximum(a0, a1)
+    b_lo, b_hi = np.minimum(b0, b1), np.maximum(b0, b1)
+    cell = np.maximum(_finite_max(a_hi - a_lo), _finite_max(b_hi - b_lo))
+    for i, j in _Grid(b_lo, b_hi, cell).pairs(a_lo, a_hi):
+        keep = (a_lo[i] <= b_hi[j]).all(axis=1) & (a_hi[i] >= b_lo[j]).all(axis=1)
         if self_test:
-            ii = np.arange(lo, hi)[:, None]
-            jj = np.arange(m)[None, :]
-            adjacent = np.abs(ii - jj) <= 1
+            # crossing is symmetric in (i, j): the first pair has i < j
+            keep &= j > i + 1
             if closed_a:
-                adjacent |= (np.minimum(ii, jj) == 0) & (np.maximum(ii, jj) == m - 1)
-            overlap &= ~adjacent
-        cand = np.argwhere(overlap)
-        if len(cand) == 0:
-            continue
-        i_idx = cand[:, 0] + lo
-        j_idx = cand[:, 1]
-        hit = _segments_cross(a0[i_idx], a1[i_idx], b0[j_idx], b1[j_idx])
+                keep &= ~((i == 0) & (j == m - 1))
+        i, j = i[keep], j[keep]
+        hit = _segments_cross(a0[i], a1[i], b0[j], b1[j])
         if hit.any():
-            k = int(np.argmax(hit))
-            return int(i_idx[k]), int(j_idx[k])
+            k = int(np.argmin(i[hit] * m + j[hit]))
+            return int(i[hit][k]), int(j[hit][k])
     return None
-
-
-def polyline_is_simple(path: np.ndarray, closed: bool = False) -> bool:
-    return first_segment_intersection(path, closed_a=closed) is None

@@ -9,6 +9,14 @@ curvature, its area is 2M + pi and its perimeter 2M + 2pi: the linear
 curvature term integrates to zero across the width, and the two offset
 lengths (1-kappa) ds + (1+kappa) ds cancel.  A placement is feasible when
 both caps lie inside the strip and the caps do not collide with each other.
+
+The fit scan tests all anchors in one batched pass: frames for every
+anchor at once, the cap points of all anchors stacked, end-line tests
+vectorized, and each cap point's distance to the spine polyline taken
+first from the few segments around its bisected foot and, failing that,
+from the segments the geometry grid index buckets near it.  Any segment
+within reach is among those candidates, so the verdicts are those of the
+minimum over all spine segments.
 """
 
 from __future__ import annotations
@@ -18,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveKind, StripCurve
-from .geometry import PolyShape, first_segment_intersection, signed_area
+from .curves import CurveKind, StripCurve, offset_crossings
+from .geometry import (PolyShape, points_near_segments, segment_distances,
+                       signed_area)
 
 __all__ = [
     "FitResult",
@@ -67,19 +76,14 @@ def build_strip_polygon(curve: StripCurve,
             idx = np.append(idx, n - 1)
         lo, hi = lo[idx], hi[idx]
     if check:
-        closed = curve.kind is CurveKind.ANNULUS
-        for label, path in (("lower", lo), ("upper", hi)):
-            pair = first_segment_intersection(path, closed_a=closed)
-            if pair is not None:
+        for which, pair in offset_crossings(lo, hi, curve.kind is CurveKind.ANNULUS):
+            if which == "between":
                 raise ValueError(
-                    f"offset map is not injective: the {label} offset "
-                    f"polyline self-intersects at segment pair {pair}")
-        pair = first_segment_intersection(lo, hi, closed_a=closed,
-                                          closed_b=closed)
-        if pair is not None:
+                    "offset map is not injective: the two offset polylines "
+                    f"cross at segment pair {pair}")
             raise ValueError(
-                "offset map is not injective: the two offset polylines "
-                f"cross at segment pair {pair}")
+                f"offset map is not injective: the {which} offset "
+                f"polyline self-intersects at segment pair {pair}")
     if curve.kind is CurveKind.ANNULUS:
         area_lo, area_hi = abs(signed_area(lo)), abs(signed_area(hi))
         outer, inner = (lo, hi) if area_lo >= area_hi else (hi, lo)
@@ -115,12 +119,13 @@ def _cap_boundary(center: np.ndarray, tangent: np.ndarray, normal: np.ndarray,
 
     ``outward`` is +1 for a cap pointing along the tangent (forward end),
     -1 for one pointing against it.  Runs from center - normal to
-    center + normal through center + outward * tangent.
+    center + normal through center + outward * tangent.  Frames of shape
+    (..., 2) give caps of shape (..., n_points, 2).
     """
-    phi = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_points)
-    return (center
-            + outward * np.outer(np.cos(phi), tangent)
-            + np.outer(np.sin(phi), normal))
+    phi = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_points)[:, None]
+    return (center[..., None, :]
+            + outward * (np.cos(phi) * tangent[..., None, :])
+            + np.sin(phi) * normal[..., None, :])
 
 
 def build_topped_substrip_on_curve(curve: StripCurve, s0: float, m: float,
@@ -318,6 +323,14 @@ class _TubeProbe:
     The spine polyline is decimated to at most ``max_points`` vertices; with
     |curvature| <= 1 the inscribed polyline sags below the smooth spine by at
     most eff_step^2 / 8, which the caller folds into the tolerance.
+
+    The distance test first bisects, for every point at once, for the sign
+    change of (p - a_i) . (b_i - a_i) over the segments within arclength pi
+    of the point's cap center (the foot of a point within unit reach of a
+    spine with |curvature| <= 1 lies there) and measures the three segments
+    around it.  A point not found within 1 + tol that way is measured
+    against every segment the grid index of ``points_near_segments`` puts
+    near it, so each verdict is that of the minimum over all segments.
     """
 
     def __init__(self, curve: StripCurve, max_points: int):
@@ -342,43 +355,67 @@ class _TubeProbe:
         ab = self.b - self.a
         self.ab = ab
         self.ab2 = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
-        self.mid = 0.5 * (self.a + self.b)
-        self.half = 0.5 * np.sqrt(self.ab2)
         if not closed:
             self.p_start, t_start, _ = curve.frame_at(0.0)
             self.t_start = t_start
             self.p_end, t_end, _ = curve.frame_at(curve.length)
             self.t_end = t_end
 
-    def contains(self, pts: np.ndarray, centers: np.ndarray,
-                 tol: float) -> bool:
-        """Are all pts inside the strip?  ``centers`` are reference points
-        (cap centers) used to prefilter spine segments: every tested point
-        lies within distance 1 of one of them."""
-        reach = 2.0 + float(self.half.max()) + 0.1
-        local = np.zeros(len(self.a), dtype=bool)
-        for c in centers:
-            local |= np.hypot(*(self.mid - c).T) <= reach
-        sel = np.flatnonzero(local)
-        if len(sel) == 0:
-            return False
-        a, ab, ab2 = self.a[sel], self.ab[sel], self.ab2[sel]
-        ap = pts[:, None, :] - a[None, :, :]
-        tt = np.clip(np.einsum("pij,ij->pi", ap, ab) / ab2, 0.0, 1.0)
-        closest = a[None, :, :] + tt[:, :, None] * ab[None, :, :]
-        d = np.hypot(*(pts[:, None, :] - closest).transpose(2, 0, 1)).min(axis=1)
-        if (d > 1.0 + tol).any():
-            return False
+    def _segment(self, i: np.ndarray) -> np.ndarray:
+        """Segment indices, wrapped on closed spines and clamped on open ones."""
+        n = len(self.a)
+        return i % n if self.closed else np.clip(i, 0, n - 1)
+
+    def _near_foot(self, pts: np.ndarray, s_ref: np.ndarray,
+                   tol: float) -> np.ndarray:
+        """Points found within 1 + tol of the three segments around their
+        bisected foot (a sufficient test, see the class docstring)."""
+        bracket = int(math.ceil(math.pi / self.eff_step)) + 1
+        center = np.floor(s_ref / self.eff_step).astype(np.int64)
+        lo, hi = center - bracket, center + bracket
         if not self.closed:
-            rel0 = pts - self.p_start
-            in_d0 = (rel0 @ self.t_start < -tol) \
-                & (np.hypot(rel0[:, 0], rel0[:, 1]) <= 1.0 + tol)
-            rel1 = pts - self.p_end
-            in_d1 = (rel1 @ self.t_end > tol) \
-                & (np.hypot(rel1[:, 0], rel1[:, 1]) <= 1.0 + tol)
-            if in_d0.any() or in_d1.any():
-                return False
-        return True
+            lo, hi = self._segment(lo), self._segment(hi)
+        while (hi - lo > 1).any():
+            mid = (lo + hi) // 2
+            i = self._segment(mid)
+            rel = pts - self.a[i]
+            ahead = rel[:, 0] * self.ab[i, 0] + rel[:, 1] * self.ab[i, 1] >= 0.0
+            lo = np.where(ahead, mid, lo)
+            hi = np.where(ahead, hi, mid)
+        near = np.zeros(len(pts), dtype=bool)
+        for shift in (-1, 0, 1):
+            i = self._segment(lo + shift)
+            near |= segment_distances(pts, self.a[i], self.ab[i],
+                                      self.ab2[i]) <= 1.0 + tol
+        return near
+
+    def _behind_ends(self, caps: np.ndarray, tol: float) -> np.ndarray:
+        """Per cap set: is a point strictly behind an end line while within
+        unit reach of that endpoint?"""
+        rel0 = caps - self.p_start
+        in_d0 = (rel0 @ self.t_start < -tol) \
+            & (np.hypot(rel0[..., 0], rel0[..., 1]) <= 1.0 + tol)
+        rel1 = caps - self.p_end
+        in_d1 = (rel1 @ self.t_end > tol) \
+            & (np.hypot(rel1[..., 0], rel1[..., 1]) <= 1.0 + tol)
+        return (in_d0 | in_d1).any(axis=-1)
+
+    def contains(self, caps: np.ndarray, s_ref: np.ndarray,
+                 tol: float) -> np.ndarray:
+        """For each point set caps[k] (shape (k, p, 2)): are all its points
+        inside the strip?  ``s_ref[k, j]`` is the arclength of the cap
+        center that point j of set k belongs to."""
+        ok = np.ones(len(caps), dtype=bool)
+        if not self.closed:
+            ok &= ~self._behind_ends(caps, tol)
+        pts = caps[ok].reshape(-1, 2)
+        near = self._near_foot(pts, s_ref[ok].ravel(), tol)
+        rest = np.flatnonzero(~near)
+        if len(rest):
+            near[rest] = points_near_segments(pts[rest], self.a, self.ab,
+                                              self.ab2, 1.0 + tol)
+        ok[ok] = near.reshape(-1, caps.shape[1]).all(axis=1)
+        return ok
 
 
 def fit_topped_substrip(curve: StripCurve, m: float, *,
@@ -395,6 +432,8 @@ def fit_topped_substrip(curve: StripCurve, m: float, *,
     spine length).  The tolerance absorbs the spine decimation sag
     (eff_step^2 / 8) plus 1e-9 * L; caps touching the boundary tangentially,
     which they always do along their flat-side endpoints, stay feasible.
+    All anchors are tested in one batched pass; the collision test runs
+    only on the anchors whose caps lie inside the strip.
     """
     if m < 0.0:
         raise ValueError(f"substrip length must be >= 0, got {m}")
@@ -422,15 +461,12 @@ def fit_topped_substrip(curve: StripCurve, m: float, *,
     if tol is None:
         tol = CONTAINMENT_RTOL * length + probe.eff_step ** 2 / 8.0
 
-    feasible = np.zeros(len(candidates), dtype=bool)
-    for i, s0 in enumerate(candidates):
-        p0, t0, n0 = curve.frame_at(s0)
-        p1, t1, n1 = curve.frame_at(s0 + m)
-        caps = np.vstack([_cap_boundary(p0, t0, n0, -1.0, cap_points),
-                          _cap_boundary(p1, t1, n1, +1.0, cap_points)])
-        if not probe.contains(caps, np.array([p0, p1]), tol):
-            continue
-        if _caps_collide(p0, -t0, p1, t1):
-            continue
-        feasible[i] = True
+    p0, t0, n0 = curve.frames(candidates)
+    p1, t1, n1 = curve.frames(candidates + m)
+    caps = np.concatenate([_cap_boundary(p0, t0, n0, -1.0, cap_points),
+                           _cap_boundary(p1, t1, n1, +1.0, cap_points)], axis=1)
+    s_ref = np.repeat([candidates, candidates + m], cap_points, axis=0).T
+    feasible = probe.contains(caps, s_ref, tol)
+    for i in np.flatnonzero(feasible):
+        feasible[i] = not _caps_collide(p0[i], -t0[i], p1[i], t1[i])
     return FitResult(candidates, feasible, float(scan_step), cap_points)

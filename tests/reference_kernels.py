@@ -1,0 +1,235 @@
+"""Brute-force reference copies of the all-pairs strip kernels.
+
+These are the kernels as they were before the grid index: every
+segment pair, every point against every edge, and the fit scan one anchor
+at a time against all spine segments near its caps.  The bit-identity
+tests compare the indexed kernels in ``alphacheeger`` with them.
+"""
+
+import math
+
+import numpy as np
+
+from alphacheeger.curves import CurveKind
+from alphacheeger.strips import CONTAINMENT_RTOL, DEFAULT_SCAN_CAP_POINTS, _caps_collide
+
+_CHUNK = 4_000_000
+
+
+def _crossing_inside(loop, pts):
+    x1, y1 = loop[:, 0], loop[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    px, py = pts[:, 0], pts[:, 1]
+    inside = np.zeros(len(pts), dtype=bool)
+    step = max(1, _CHUNK // max(len(loop), 1))
+    for lo in range(0, len(pts), step):
+        sl = slice(lo, lo + step)
+        pxs = px[sl][:, None]
+        pys = py[sl][:, None]
+        straddles = (y1 > pys) != (y2 > pys)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xcross = x1 + (pys - y1) * (x2 - x1) / (y2 - y1)
+        hits = straddles & (pxs < xcross)
+        inside[sl] = np.bitwise_xor.reduce(hits, axis=1)
+    return inside
+
+
+def _dist_to_loop(loop, pts):
+    a = loop
+    b = np.roll(loop, -1, axis=0)
+    ab = b - a
+    ab2 = np.einsum("ij,ij->i", ab, ab)
+    ab2 = np.where(ab2 == 0.0, 1.0, ab2)
+    best = np.full(len(pts), np.inf)
+    step = max(1, _CHUNK // max(len(loop), 1))
+    for lo in range(0, len(pts), step):
+        sl = slice(lo, lo + step)
+        ap = pts[sl][:, None, :] - a[None, :, :]
+        tt = np.clip(np.einsum("pij,ij->pi", ap, ab) / ab2, 0.0, 1.0)
+        closest = a[None, :, :] + tt[:, :, None] * ab[None, :, :]
+        d = np.hypot(*(pts[sl][:, None, :] - closest).transpose(2, 0, 1))
+        best[sl] = d.min(axis=1)
+    return best
+
+
+def contains_points(shape, pts, tol=0.0):
+    pts = np.asarray(pts, dtype=float)
+    inside = _crossing_inside(shape.vertices, pts)
+    for hole in shape.holes:
+        inside &= ~_crossing_inside(hole, pts)
+    if tol > 0.0:
+        doubtful = ~inside
+        if doubtful.any():
+            d = _dist_to_loop(shape.vertices, pts[doubtful])
+            for hole in shape.holes:
+                d = np.minimum(d, _dist_to_loop(hole, pts[doubtful]))
+            inside[doubtful] = d <= tol
+    return inside
+
+
+def _segments_cross(a0, a1, b0, b1):
+    def orient(p, q, r):
+        return ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+                - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
+
+    d1 = orient(b0, b1, a0)
+    d2 = orient(b0, b1, a1)
+    d3 = orient(a0, a1, b0)
+    d4 = orient(a0, a1, b1)
+    return (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & \
+           (((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0)))
+
+
+def first_segment_intersection(path_a, path_b=None, closed_a=False, closed_b=False):
+    def segs(path, closed):
+        p = np.asarray(path, dtype=float)
+        if closed:
+            return p, np.roll(p, -1, axis=0)
+        return p[:-1], p[1:]
+
+    a0, a1 = segs(path_a, closed_a)
+    self_test = path_b is None
+    if self_test:
+        b0, b1 = a0, a1
+    else:
+        b0, b1 = segs(path_b, closed_b)
+    n, m = len(a0), len(b0)
+    ax_lo, ax_hi = np.minimum(a0[:, 0], a1[:, 0]), np.maximum(a0[:, 0], a1[:, 0])
+    ay_lo, ay_hi = np.minimum(a0[:, 1], a1[:, 1]), np.maximum(a0[:, 1], a1[:, 1])
+    bx_lo, bx_hi = np.minimum(b0[:, 0], b1[:, 0]), np.maximum(b0[:, 0], b1[:, 0])
+    by_lo, by_hi = np.minimum(b0[:, 1], b1[:, 1]), np.maximum(b0[:, 1], b1[:, 1])
+    step = max(1, _CHUNK // max(m, 1))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        overlap = ((ax_lo[lo:hi, None] <= bx_hi[None, :])
+                   & (ax_hi[lo:hi, None] >= bx_lo[None, :])
+                   & (ay_lo[lo:hi, None] <= by_hi[None, :])
+                   & (ay_hi[lo:hi, None] >= by_lo[None, :]))
+        if self_test:
+            ii = np.arange(lo, hi)[:, None]
+            jj = np.arange(m)[None, :]
+            adjacent = np.abs(ii - jj) <= 1
+            if closed_a:
+                adjacent |= (np.minimum(ii, jj) == 0) & (np.maximum(ii, jj) == m - 1)
+            overlap &= ~adjacent
+        cand = np.argwhere(overlap)
+        if len(cand) == 0:
+            continue
+        i_idx = cand[:, 0] + lo
+        j_idx = cand[:, 1]
+        hit = _segments_cross(a0[i_idx], a1[i_idx], b0[j_idx], b1[j_idx])
+        if hit.any():
+            k = int(np.argmax(hit))
+            return int(i_idx[k]), int(j_idx[k])
+    return None
+
+
+def _frame_at(curve, s):
+    if curve.kind is CurveKind.ANNULUS:
+        s = s % curve.length
+    if curve.source is not None:
+        pts, tan = curve.source.frame(np.array([s]))
+        t = tan[0] / np.hypot(*tan[0])
+        return pts[0], t, np.array([-t[1], t[0]])
+    x = min(max(s, 0.0) / curve.ds, len(curve.points) - 1.0)
+    i = min(int(x), len(curve.points) - 2)
+    w = x - i
+    p = (1.0 - w) * curve.points[i] + w * curve.points[i + 1]
+    t = (1.0 - w) * curve.tangents[i] + w * curve.tangents[i + 1]
+    t = t / np.hypot(*t)
+    return p, t, np.array([-t[1], t[0]])
+
+
+def _cap_boundary(center, tangent, normal, outward, n_points):
+    phi = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_points)
+    return (center
+            + outward * np.outer(np.cos(phi), tangent)
+            + np.outer(np.sin(phi), normal))
+
+
+class _TubeProbe:
+    def __init__(self, curve, max_points):
+        pts = curve.points
+        closed = curve.kind is CurveKind.ANNULUS
+        if closed:
+            pts = pts[:-1]
+        n = len(pts)
+        stride = max(int(math.ceil(n / max_points)), 1)
+        idx = np.arange(0, n, stride)
+        if not closed and idx[-1] != n - 1:
+            idx = np.append(idx, n - 1)
+        sp = pts[idx]
+        if closed:
+            self.a, self.b = sp, np.roll(sp, -1, axis=0)
+        else:
+            self.a, self.b = sp[:-1], sp[1:]
+        self.closed = closed
+        self.eff_step = stride * curve.ds
+        ab = self.b - self.a
+        self.ab = ab
+        self.ab2 = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
+        self.mid = 0.5 * (self.a + self.b)
+        self.half = 0.5 * np.sqrt(self.ab2)
+        if not closed:
+            self.p_start, self.t_start, _ = _frame_at(curve, 0.0)
+            self.p_end, self.t_end, _ = _frame_at(curve, curve.length)
+
+    def contains(self, pts, centers, tol):
+        reach = 2.0 + float(self.half.max()) + 0.1
+        local = np.zeros(len(self.a), dtype=bool)
+        for c in centers:
+            local |= np.hypot(*(self.mid - c).T) <= reach
+        sel = np.flatnonzero(local)
+        if len(sel) == 0:
+            return False
+        a, ab, ab2 = self.a[sel], self.ab[sel], self.ab2[sel]
+        ap = pts[:, None, :] - a[None, :, :]
+        tt = np.clip(np.einsum("pij,ij->pi", ap, ab) / ab2, 0.0, 1.0)
+        closest = a[None, :, :] + tt[:, :, None] * ab[None, :, :]
+        d = np.hypot(*(pts[:, None, :] - closest).transpose(2, 0, 1)).min(axis=1)
+        if (d > 1.0 + tol).any():
+            return False
+        if not self.closed:
+            rel0 = pts - self.p_start
+            in_d0 = (rel0 @ self.t_start < -tol) \
+                & (np.hypot(rel0[:, 0], rel0[:, 1]) <= 1.0 + tol)
+            rel1 = pts - self.p_end
+            in_d1 = (rel1 @ self.t_end > tol) \
+                & (np.hypot(rel1[:, 0], rel1[:, 1]) <= 1.0 + tol)
+            if in_d0.any() or in_d1.any():
+                return False
+        return True
+
+
+def fit_feasible(curve, m, *, scan_step=None, cap_points=DEFAULT_SCAN_CAP_POINTS,
+                 spine_points=2048, tol=None):
+    """(candidates, feasible) of the anchor-by-anchor fit scan."""
+    wrap = curve.kind is CurveKind.ANNULUS
+    length = curve.length
+    if scan_step is None:
+        scan_step = max(curve.ds, length / 256.0)
+    no_room = (m >= length - 1e-12) if wrap else (m > length + 1e-12)
+    if no_room:
+        return np.array([0.0]), np.array([False])
+    if wrap:
+        n = max(int(round(length / scan_step)), 1)
+        candidates = (length / n) * np.arange(n)
+    else:
+        span = length - m
+        n = max(int(math.floor(span / scan_step + 1e-12)), 0)
+        candidates = np.unique(np.concatenate([np.arange(n + 1) * scan_step, [span]]))
+    probe = _TubeProbe(curve, spine_points)
+    if tol is None:
+        tol = CONTAINMENT_RTOL * length + probe.eff_step ** 2 / 8.0
+    feasible = np.zeros(len(candidates), dtype=bool)
+    for i, s0 in enumerate(candidates):
+        p0, t0, n0 = _frame_at(curve, s0)
+        p1, t1, n1 = _frame_at(curve, s0 + m)
+        caps = np.vstack([_cap_boundary(p0, t0, n0, -1.0, cap_points),
+                          _cap_boundary(p1, t1, n1, +1.0, cap_points)])
+        if not probe.contains(caps, np.array([p0, p1]), tol):
+            continue
+        if _caps_collide(p0, -t0, p1, t1):
+            continue
+        feasible[i] = True
+    return candidates, feasible

@@ -362,3 +362,103 @@ def test_rect_argv_fuzz_exits_cleanly(length, sides, alpha, verify):
                 continue
             for token in _NUMBER.findall(line):
                 assert math.isfinite(float(token)), line
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"primitive": "segment", "length": 1e308}, "length"),
+    ({"primitive": "circle", "radius": 1e200}, "radius"),
+])
+def test_strip_names_an_overflowing_curve_field(run, curve_file, spec, field):
+    path = curve_file("huge.json", spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow would raise here
+        code, out, err = run("strip", path, "--alpha", "1.5")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: curve {field} must be finite with magnitude")
+
+
+def test_strip_validates_each_curve_once(run, curve_file, monkeypatch):
+    from alphacheeger.curves import StripCurve
+    calls = []
+    original = StripCurve.validate
+    monkeypatch.setattr(StripCurve, "validate",
+                        lambda self: calls.append(self) or original(self))
+    for spec in ({"primitive": "circle", "radius": 3.1},
+                 {"primitive": "path",
+                  "pieces": [["line", 6], ["arc", 1.6, math.pi], ["line", 4]]}):
+        calls.clear()
+        code, _, _ = run("strip", curve_file("c.json", spec), "--alpha", "1.5")
+        assert code == 0
+        assert len(calls) == 1
+
+
+_CURVE_EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0,
+                                   5e-324, 1e-200, 1e200, 1e308])
+# mostly plausible sizes, so that many specs reach the fit scan and oracle
+_CURVE_NUMBERS = st.one_of(st.floats(2.0, 30.0), st.floats(0.5, 30.0),
+                           _CURVE_EXTREMES, st.floats(-1e3, 1e3))
+_CURVE_KINDS = st.sampled_from(["finite", "finite", "semi_infinite", "infinite",
+                                "annulus", "bogus", None])
+_PIECES = st.lists(st.one_of(
+    st.tuples(st.just("line"), _CURVE_NUMBERS),
+    st.tuples(st.just("arc"), _CURVE_NUMBERS, st.floats(-3.0, 3.0) | _CURVE_NUMBERS),
+    st.tuples(st.sampled_from(["arc", "spiral"]), _CURVE_NUMBERS)), max_size=4)
+_SAMPLES = st.one_of(
+    st.lists(st.tuples(_CURVE_NUMBERS, _CURVE_NUMBERS), max_size=10),
+    st.lists(st.tuples(st.floats(0.5, 30.0), st.floats(0.5, 30.0)), min_size=1,
+             max_size=3).map(lambda pts: pts * 3))  # duplicated points
+_VALID_KINDS = st.sampled_from(["finite", "semi_infinite", "infinite"])
+_PLAUSIBLE_CURVES = st.one_of(
+    st.fixed_dictionaries({"primitive": st.just("circle"),
+                           "radius": st.floats(2.3, 12.0)}),
+    st.fixed_dictionaries({"primitive": st.just("segment"),
+                           "length": st.floats(14.2, 60.0), "kind": _VALID_KINDS}),
+    st.fixed_dictionaries({"primitive": st.just("path"), "kind": _VALID_KINDS,
+                           "pieces": st.tuples(
+                               st.tuples(st.just("line"), st.floats(7.5, 10.0)),
+                               st.tuples(st.just("arc"), st.floats(1.05, 5.0),
+                                         st.floats(-3.2, 3.2)),
+                               st.tuples(st.just("line"), st.floats(7.5, 10.0)),
+                           ).map(list)}))
+_FUZZED_CURVES = st.one_of(
+    st.fixed_dictionaries({"primitive": st.just("segment"), "length": _CURVE_NUMBERS,
+                           "kind": _CURVE_KINDS}),
+    st.fixed_dictionaries({"primitive": st.just("circle"), "radius": _CURVE_NUMBERS}),
+    st.fixed_dictionaries({"primitive": st.just("arc"), "radius": _CURVE_NUMBERS,
+                           "angle": st.floats(-3.0, 3.0) | _CURVE_NUMBERS}),
+    st.fixed_dictionaries({"primitive": st.just("path"), "pieces": _PIECES,
+                           "kind": _CURVE_KINDS}),
+    st.fixed_dictionaries({"samples": _SAMPLES, "kind": _CURVE_KINDS}))
+
+
+@settings(max_examples=60)
+@given(spec=_PLAUSIBLE_CURVES | _FUZZED_CURVES,
+       alpha=st.one_of(st.floats(1.05, 1.95), st.floats(0.9, 2.1),
+                       st.just(math.nan)).map(repr),
+       extra=st.sampled_from([(), ("--verify", "--segments", "64"),
+                              ("--mc-samples", "1000", "--mc-seed", "3")]))
+def test_strip_fuzz_exits_cleanly(tmp_path_factory, spec, alpha, extra):
+    path = tmp_path_factory.mktemp("fuzz") / "curve.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(["strip", str(path), f"--alpha={alpha}", *extra])
+        except SystemExit as exc:  # argparse refusing a malformed argv
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert not caught
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    if code == 0:
+        for line in out.getvalue().splitlines():
+            # the infinite straight strip reports its own length and the
+            # unbounded placement interval
+            if spec.get("kind") == "infinite" and line.startswith(
+                    ("placements:", "  length:", "  placement_interval_length:")):
+                continue
+            for token in _NUMBER.findall(line):
+                assert math.isfinite(float(token)), line

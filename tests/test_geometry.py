@@ -21,8 +21,10 @@ from alphacheeger import (
     stadium_perimeter,
     translate_shape,
 )
-from alphacheeger.geometry import (_unit_arc, first_segment_intersection,
-                                   polyline_is_simple)
+from alphacheeger import CircleSpec, PathSpec, curve_from_source
+from alphacheeger.geometry import _unit_arc, first_segment_intersection
+
+import reference_kernels as ref
 
 SQUARE = PolyShape(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]))
 
@@ -222,8 +224,8 @@ def test_first_segment_intersection_detects_a_bowtie():
     bowtie = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
     pair = first_segment_intersection(bowtie, closed_a=True)
     assert pair == (0, 2)
-    assert not polyline_is_simple(bowtie, closed=True)
-    assert polyline_is_simple(SQUARE.vertices, closed=True)
+    assert first_segment_intersection(bowtie, closed_a=True) is not None
+    assert first_segment_intersection(SQUARE.vertices, closed_a=True) is None
 
 
 def test_first_segment_intersection_between_paths():
@@ -232,6 +234,56 @@ def test_first_segment_intersection_between_paths():
     assert first_segment_intersection(a, b) == (0, 0)
     c = np.array([[0.0, 1.0], [4.0, 1.0]])
     assert first_segment_intersection(a, c) is None
+
+
+def _random_walk_cases(count=600, seed=7):
+    """Seeded (path_a, path_b, closed_a, closed_b): self and between-path."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        walk = np.cumsum(rng.normal(size=(int(rng.integers(3, 200)), 2))
+                         * rng.uniform(0.01, 3.0), axis=0)
+        if k % 2:
+            other = (np.cumsum(rng.normal(size=(int(rng.integers(2, 150)), 2)), axis=0)
+                     + 3.0 * rng.normal(size=2))
+            yield walk, other, k % 3 == 0, k % 5 == 0
+        else:
+            yield walk, None, k % 3 == 0, False
+
+
+def test_first_segment_intersection_matches_the_brute_force_pair():
+    # the grid index must return the same first pair as every-pair testing
+    crossed = 0
+    for case in _random_walk_cases():
+        want = ref.first_segment_intersection(*case)
+        assert first_segment_intersection(*case) == want
+        crossed += want is not None
+    assert 0 < crossed < 600  # both outcomes are exercised
+    t = np.linspace(0.0, 2.0 * math.pi, 1001)[:-1]
+    eight = np.column_stack([np.sin(t), np.sin(t) * np.cos(t)])
+    assert first_segment_intersection(eight, closed_a=True) == (500, 999)
+    assert ref.first_segment_intersection(eight, closed_a=True) == (500, 999)
+    g_shape = curve_from_source(PathSpec((("line", 4.0), ("arc", 1.5, 1.9 * math.pi))))
+    for curve in (curve_from_source(CircleSpec(3.0)), g_shape):
+        lo, hi = curve.offset(-1.0)[:-1], curve.offset(+1.0)[:-1]
+        for case in ((lo, None, True, False), (hi, None, True, False),
+                     (lo, hi, True, True), (lo, hi, False, False)):
+            assert first_segment_intersection(*case) == ref.first_segment_intersection(*case)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3, 0.05])
+def test_contains_points_matches_the_brute_force_mask(tol):
+    outer = regular_polygon(700, 5.0).vertices
+    hole = regular_polygon(300, 2.0).vertices[::-1] + 0.3
+    annulus = PolyShape(outer, holes=(hole,))
+    rng = np.random.Generator(np.random.Philox(11))
+    ang = rng.uniform(0.0, 2.0 * math.pi, 3000)
+    rim = (np.column_stack([np.cos(ang), np.sin(ang)])
+           * (5.0 + rng.normal(scale=0.02, size=3000))[:, None])
+    pts = np.vstack([rng.uniform(-6.0, 6.0, size=(20_000, 2)), rim,
+                     outer[:50], hole[:50]])
+    want = ref.contains_points(annulus, pts, tol)
+    assert np.array_equal(contains_points(annulus, pts, tol), want)
+    assert 0 < want.sum() < len(pts)
 
 
 def test_polyshape_requires_planar_loop():

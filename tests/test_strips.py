@@ -31,6 +31,9 @@ from alphacheeger import (
     stadium_area,
     stadium_perimeter,
 )
+from alphacheeger.oracle import _coarse_fit
+
+import reference_kernels as ref
 
 M_HALF = math.pi / 2  # m_of_alpha(1.5)
 
@@ -147,6 +150,33 @@ def test_annulus_cap_collision_threshold():
 def test_zero_length_substrip_is_a_disk_and_always_fits(ring20):
     fit = fit_topped_substrip(ring20, 0.0, scan_step=ring20.length / 32.0)
     assert bool(fit.feasible.all())
+
+
+def _sampled_ellipse():
+    th = 2.0 * math.pi * np.arange(8192) / 8192
+    return curve_from_samples(np.column_stack([7.0 * np.cos(th), 5.0 * np.sin(th)]),
+                              kind=CurveKind.ANNULUS)
+
+
+@pytest.mark.parametrize("name", ["ring4", "ring6", "u", "hook", "gentle", "ellipse"])
+def test_fit_matches_the_anchor_by_anchor_scan(name, u_spine, hook_spine, gentle_spine):
+    # the batched scan must give the same feasibility mask, bit for bit, as
+    # testing each anchor's caps against all nearby spine segments
+    curve, m = {
+        "ring4": (curve_from_source(CircleSpec(4.0)), M_HALF),
+        "ring6": (curve_from_source(CircleSpec(6.0)), M_HALF),
+        "u": (u_spine, M_HALF),
+        "hook": (hook_spine, M_HALF),
+        "gentle": (gentle_spine, gentle_spine.length - 2.0 - 0.6 * (math.pi - 2.0)),
+        "ellipse": (_sampled_ellipse(), M_HALF),
+    }[name]
+    for fit, kwargs in ((fit_topped_substrip(curve, m), {}),
+                        (_coarse_fit(curve, m), {"scan_step": curve.length / 64.0,
+                                                 "cap_points": 96,
+                                                 "spine_points": 1024})):
+        candidates, feasible = ref.fit_feasible(curve, m, **kwargs)
+        assert np.array_equal(fit.candidates, candidates)
+        assert np.array_equal(fit.feasible, feasible)
 
 
 def test_fit_rejects_negative_length(ring20):
