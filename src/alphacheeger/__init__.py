@@ -36,14 +36,15 @@ from .classifier import (
     h_alpha_rectangle,
 )
 from .curves import (
-    Annulus,
     ArcSpec,
     CircleSpec,
     CurveKind,
     CurveValidationError,
     PathSpec,
+    SampledSpec,
     SegmentSpec,
     StripCurve,
+    WindowSpec,
     curve_from_samples,
     curve_from_source,
     densify,

@@ -147,15 +147,6 @@ class CheegerSolution:
                 if hi > lo and self.unique:
                     raise ValueError("a positive placement interval contradicts uniqueness")
 
-    def free_boundary_radius_expected(self) -> float:
-        """Geometric radius of the solution's free-boundary arcs."""
-        if self.kind is SolutionKind.CUT_CORNERS:
-            assert self.radius is not None
-            return self.radius
-        if self.kind is SolutionKind.TOPPED_SUBSTRIP:
-            return 1.0
-        raise ValueError("the whole domain has no free boundary")
-
 
 class Ordering(str, Enum):
     """Outcome of comparing capped substrips against the whole annulus."""

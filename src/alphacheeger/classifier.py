@@ -41,7 +41,7 @@ from .analytic import (
     stadium_area,
     stadium_perimeter,
 )
-from .curves import Annulus, CurveKind, StripCurve, densify, retruncate
+from .curves import CurveKind, StripCurve, densify, retruncate
 from .geometry import DEFAULT_SEGMENTS
 from .oracle import search_cut_corner_strip
 from .strips import FitResult, fit_topped_substrip
@@ -284,7 +284,7 @@ def classify_open_strip(curve: StripCurve, alpha, *,
     return _cut_corner_strip_classification(curve, a, segments, evidence)
 
 
-def classify_annulus(annulus: Annulus | StripCurve, alpha) -> StripClassification:
+def classify_annulus(spine: StripCurve, alpha) -> StripClassification:
     """Decide between the substrip family and the whole generalized annulus.
 
     Both candidate measures are exact closed forms: the annulus of spine
@@ -298,11 +298,10 @@ def classify_annulus(annulus: Annulus | StripCurve, alpha) -> StripClassificatio
     with placements the comparison decides, the whole domain again unique
     when it wins strictly.
     """
-    if isinstance(annulus, StripCurve):
-        annulus = Annulus(annulus)
-    spine = annulus.spine
+    if spine.kind is not CurveKind.ANNULUS:
+        raise ValueError(f"annulus needs a closed spine, got kind={spine.kind}")
     spine.require_admissible()
-    length = annulus.spine_length
+    length = spine.length
     if length < MIN_SPINE_LENGTH * (1.0 - 1e-12):
         raise ValueError(
             f"annulus spine length {length:.6f} is below the supported "

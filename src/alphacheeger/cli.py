@@ -85,7 +85,6 @@ class SweepSpec:
 
     alphas: tuple[float, ...]
     lengths: tuple[float, ...]
-    fmt: str = "table"
     verify: bool = False
 
     def __post_init__(self) -> None:
@@ -98,8 +97,6 @@ class SweepSpec:
             if not (length >= 2.0) or not math.isfinite(length):
                 raise ValueError(f"sweep length must be a finite real >= 2, "
                                  f"got {length}")
-        if self.fmt not in ("table", "csv"):
-            raise ValueError(f"unknown sweep format {self.fmt!r}")
 
 
 def parse_value_list(text: str) -> tuple[float, ...]:
@@ -436,8 +433,7 @@ def _drawable_curve(curve: StripCurve, cls: StripClassification) -> StripCurve:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _sweep_rows(spec: SweepSpec, segments: int,
-                verify_tol: float) -> tuple[list[list[str]], float]:
+def _sweep_rows(spec: SweepSpec, segments: int) -> tuple[list[list[str]], float]:
     rows: list[list[str]] = []
     worst_gap = 0.0
     for length in sorted(spec.lengths):
@@ -463,9 +459,8 @@ def _sweep_rows(spec: SweepSpec, segments: int,
 def cmd_sweep(args) -> int:
     spec = SweepSpec(alphas=parse_value_list(args.alphas),
                      lengths=parse_value_list(args.lengths),
-                     fmt="csv" if args.csv else "table",
                      verify=args.verify)
-    rows, worst_gap = _sweep_rows(spec, args.segments, args.verify_tol)
+    rows, worst_gap = _sweep_rows(spec, args.segments)
 
     if args.csv:
         if args.csv == "-":

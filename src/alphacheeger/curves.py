@@ -4,10 +4,11 @@ An open strip (or generalized annulus) of half-width 1 is the image of
 Psi(s, t) = gamma(s) + t nu(s) for a unit-speed C^{1,1} spine gamma with
 |curvature| <= 1, where nu is the left unit normal.  This module carries the
 sampled representation of such spines: uniform-arclength samples with
-tangents and normals, plus analytic sources for the primitive spines
-(segment, circular arc, full circle, piecewise arc/line paths), a JSON file
-loader, and the invariant validator that rejects spines the structure
-theorems do not cover.
+tangents and normals, taken from a source with exact frames at any arclength
+(the analytic primitives segment, arc, circle and arc/line path, the spline
+``SampledSpec`` through a sample list, or a ``WindowSpec`` of either), plus
+a JSON file loader and the invariant validator that rejects spines the
+structure theorems do not cover.
 
 Curve kinds: "finite", "semi_infinite", "infinite" (open strips; the
 infinite ones are realized on a finite window and re-truncated on demand)
@@ -27,14 +28,15 @@ import numpy as np
 from .geometry import first_segment_intersection
 
 __all__ = [
-    "Annulus",
     "ArcSpec",
     "CircleSpec",
     "CurveKind",
     "CurveValidationError",
     "PathSpec",
+    "SampledSpec",
     "SegmentSpec",
     "StripCurve",
+    "WindowSpec",
     "curve_from_samples",
     "curve_from_source",
     "load_curve",
@@ -45,7 +47,7 @@ __all__ = [
 DEFAULT_SAMPLE_COUNT = 2048  # default arclength step is length / 2048
 
 CURVATURE_SLACK = 1e-6   # |kappa| <= 1 + slack passes the admissibility check
-FRAME_TOL = 1e-8         # unit-tangent / closure tolerance
+FRAME_TOL = 1e-8         # annulus closure tolerance
 # Largest accepted spine length, radius, angle or sample coordinate: beyond
 # it the product of three sample chords (discrete curvature) can overflow.
 # Spine lengths below the reciprocal would sample at a step that underflows.
@@ -188,11 +190,100 @@ class PathSpec:
         return pts, tan
 
 
+# Five-point Gauss-Legendre rule on [0, 1], for the spline arclength.
+_GL_NODES = 0.5 + np.array([-0.453089922969332, -0.26923465505284155, 0.0,
+                            0.26923465505284155, 0.453089922969332])
+_GL_WEIGHTS = np.array([0.11846344252809454, 0.23931433524968324, 0.28444444444444444,
+                        0.23931433524968324, 0.11846344252809454])
+_JACOBI_SWEEPS = 60  # each halves the spline system's error
+_NEWTON_STEPS = 3    # per arclength inversion; a fixed count keeps points independent
+
+
+class SampledSpec:
+    """C^2 cubic spline through ``knots`` (the samples, the first repeated
+    at the end for an annulus) in chord length, reparametrized by arclength.
+
+    Ends are periodic for annuli, natural (zero second derivative) otherwise.
+    Moments come from Jacobi sweeps (off-diagonal row sums are half the
+    diagonal), piece lengths from 5-point Gauss-Legendre, and ``frame``
+    inverts the arclength by Newton steps whose speed is floored at a
+    thousandth of the chord's, so a vanishing speed never divides by 0.
+    """
+
+    def __init__(self, knots: np.ndarray, kind: CurveKind):
+        self.kind, self._p = kind, knots
+        h = self._h = np.hypot(*np.diff(knots, axis=0).T)
+        d = self._d = np.diff(knots, axis=0) / h[:, None]
+        closed = kind is CurveKind.ANNULUS
+        if closed:
+            hp, hn, rhs = np.roll(h, 1), h, 6.0 * (d - np.roll(d, 1, axis=0))
+        else:
+            hp, hn, rhs = h[:-1], h[1:], 6.0 * (d[1:] - d[:-1])
+        diag = 2.0 * (hp + hn)
+        hp, hn, rhs = hp / diag, hn / diag, rhs.T / diag
+        m = np.zeros((2, len(diag) + 2))  # moments, one neighbour past each end
+        for _ in range(_JACOBI_SWEEPS):
+            m[:, 1:-1] = rhs - hp * m[:, :-2] - hn * m[:, 2:]
+            if closed:
+                m[:, 0], m[:, -1] = m[:, -2], m[:, 1]
+        self._m = np.ascontiguousarray((m[:, 1:] if closed else m).T)
+        self._pieces = self._arc(np.arange(len(h)), np.ones(len(h)))
+        self._cum = np.concatenate([[0.0], np.cumsum(self._pieces)])
+        self.length = float(self._cum[-1])
+
+    def _velocity(self, i: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Chord-length derivative (n, k, 2) on pieces i (n,) at parameters t (n, k)."""
+        a, t = (1.0 - t)[..., None], t[..., None]
+        return self._d[i][:, None] + (self._h[i] / 6.0)[:, None, None] * (
+            (1.0 - 3.0 * a * a) * self._m[i][:, None]
+            + (3.0 * t * t - 1.0) * self._m[i + 1][:, None])
+
+    def _arc(self, i: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Arclength along pieces i from their starts to local parameters t."""
+        v = self._velocity(i, t[:, None] * _GL_NODES)
+        speed = np.hypot(v[..., 0], v[..., 1])
+        return self._h[i] * t * sum(w * speed[:, k] for k, w in enumerate(_GL_WEIGHTS))
+
+    def frame(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        i = np.clip(np.searchsorted(self._cum, s, side="right") - 1, 0, len(self._h) - 1)
+        h = self._h[i]
+        goal = np.clip(s - self._cum[i], 0.0, self._pieces[i])
+        t = np.minimum(goal / h, 1.0)
+        for _ in range(_NEWTON_STEPS):
+            v = self._velocity(i, t[:, None])[:, 0]
+            rate = np.maximum(h * np.hypot(v[:, 0], v[:, 1]), 1e-3 * h)
+            t = np.clip(t - (self._arc(i, t) - goal) / rate, 0.0, 1.0)
+        a = 1.0 - t
+        pts = (a[:, None] * self._p[i] + t[:, None] * self._p[i + 1]
+               + (h * h / 6.0 * (a * a * a - a))[:, None] * self._m[i]
+               + (h * h / 6.0 * (t * t * t - t))[:, None] * self._m[i + 1])
+        v = self._velocity(i, t[:, None])[:, 0]
+        speed = np.hypot(v[:, 0], v[:, 1])[:, None]
+        return pts, np.divide(v, speed, out=self._d[i], where=speed > 0.0)
+
+
+@dataclass(frozen=True)
+class WindowSpec:
+    """The arclength window [start, start + length] of another source."""
+
+    source: object
+    start: float
+    length: float
+    kind: CurveKind
+
+    def frame(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.source.frame(np.asarray(s, dtype=float) + self.start)
+
+
 # ---------------------------------------------------------------------------
 # The sampled curve.
 
-def _left_normal(tangents: np.ndarray) -> np.ndarray:
-    return np.column_stack([-tangents[:, 1], tangents[:, 0]])
+def _unit_frames(source, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The source's points, unit tangents and left normals at arclengths s."""
+    p, tan = source.frame(s)
+    t = tan / np.hypot(tan[:, 0], tan[:, 1])[:, None]
+    return p, t, np.column_stack([-t[:, 1], t[:, 0]])
 
 
 @dataclass(frozen=True)
@@ -200,9 +291,9 @@ class StripCurve:
     """Uniform-arclength samples of a spine: points, unit tangents, left normals.
 
     For kind ANNULUS the first and last samples coincide (the closing point is
-    stored explicitly).  ``source`` keeps the analytic description when one
-    exists, so frames at arbitrary arclength and re-truncation stay exact.
-    ``half_width`` is fixed at 1: all widths are normalized away upstream.
+    stored explicitly).  ``source`` is the spine the samples were taken from,
+    so frames at any arclength, densification and re-truncation are exact.
+    The half-width is 1: all widths are normalized away upstream.
     """
 
     points: np.ndarray
@@ -211,42 +302,21 @@ class StripCurve:
     ds: float
     length: float
     kind: CurveKind
-    half_width: float = 1.0
-    source: object = None
+    source: object
 
     def __post_init__(self) -> None:
-        if self.half_width != 1.0:
-            raise ValueError("strip half-width is fixed at 1 (rescale the domain)")
         n = len(self.points)
         if n < 8:
             raise ValueError(f"need >= 8 samples, got {n}")
         if self.tangents.shape != (n, 2) or self.normals.shape != (n, 2):
             raise ValueError("points/tangents/normals must have matching shapes")
 
-    @property
-    def s_values(self) -> np.ndarray:
-        return self.ds * np.arange(len(self.points))
-
     def frames(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(points, tangents, normals), each (n, 2), at the arclengths s;
-        analytic when possible, else interpolated between samples."""
+        """(points, tangents, normals), each (n, 2), from the source at s."""
         s = np.asarray(s, dtype=float)
         if self.kind is CurveKind.ANNULUS:
             s = s % self.length
-        if self.source is not None:
-            p, tan = self.source.frame(s)
-        else:
-            outside = ~((s >= -1e-12) & (s <= self.length + 1e-12))
-            if outside.any():
-                raise ValueError(f"arclength {s[outside][0]} outside "
-                                 f"[0, {self.length}]")
-            x = np.minimum(np.maximum(s, 0.0) / self.ds, len(self.points) - 1.0)
-            i = np.minimum(x.astype(np.intp), len(self.points) - 2)
-            w = (x - i)[:, None]
-            p = (1.0 - w) * self.points[i] + w * self.points[i + 1]
-            tan = (1.0 - w) * self.tangents[i] + w * self.tangents[i + 1]
-        t = tan / np.hypot(tan[:, 0], tan[:, 1])[:, None]
-        return p, t, _left_normal(t)
+        return _unit_frames(self.source, s)
 
     def frame_at(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(point, tangent, normal) at arclength s; see ``frames``."""
@@ -275,15 +345,9 @@ class StripCurve:
         return np.concatenate([[kappa[0]], kappa, [kappa[-1]]])
 
     def validate(self) -> list[str]:
-        """Violated admissibility invariants (empty list = valid spine)."""
+        """Violated admissibility invariants (empty list = valid spine); unit
+        tangents and normals hold by construction (``_unit_frames``)."""
         bad: list[str] = []
-        tnorm = np.hypot(self.tangents[:, 0], self.tangents[:, 1])
-        if np.abs(tnorm - 1.0).max() > FRAME_TOL:
-            bad.append(f"unit-speed violated: max | |tangent|-1 | = "
-                       f"{np.abs(tnorm - 1.0).max():.3e}")
-        dot = np.abs(np.einsum("ij,ij->i", self.tangents, self.normals))
-        if dot.max() > FRAME_TOL:
-            bad.append(f"normals not perpendicular to tangents: max |t.n| = {dot.max():.3e}")
         kappa = np.abs(self.curvature())
         if kappa.max() > 1.0 + CURVATURE_SLACK:
             i = int(kappa.argmax())
@@ -349,7 +413,7 @@ def _menger(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def curve_from_source(source, ds: float | None = None,
                       n_samples: int | None = None) -> StripCurve:
-    """Sample an analytic source at uniform arclength."""
+    """Sample a source at uniform arclength."""
     length = source.length
     if not 1.0 / MAX_SPINE_SCALE <= length <= MAX_SPINE_SCALE:
         raise ValueError(f"spine length must lie in [{1.0 / MAX_SPINE_SCALE:g}, "
@@ -359,32 +423,25 @@ def curve_from_source(source, ds: float | None = None,
         ds = length / n
     n_steps = max(int(round(length / ds)), 8)
     ds = length / n_steps
-    s = ds * np.arange(n_steps + 1)
-    pts, tan = source.frame(s)
-    tan = tan / np.hypot(*tan.T)[:, None]
-    curve = StripCurve(points=pts, tangents=tan, normals=_left_normal(tan),
-                       ds=ds, length=length, kind=source.kind, source=source)
-    return curve
+    pts, tan, nor = _unit_frames(source, ds * np.arange(n_steps + 1))
+    return StripCurve(points=pts, tangents=tan, normals=nor, ds=ds, length=length,
+                      kind=source.kind, source=source)
 
 
 def densify(curve: StripCurve, n_samples: int) -> StripCurve:
-    """Rebuild an analytic-source curve with at least ``n_samples`` steps.
-
-    Sampled spines (``source is None``) are returned unchanged: linear
-    interpolation would add vertices but no geometric information.
-    """
-    if curve.source is None or len(curve.points) - 1 >= n_samples:
+    """Resample the curve's source with at least ``n_samples`` steps."""
+    if len(curve.points) - 1 >= n_samples:
         return curve
     return curve_from_source(curve.source, n_samples=n_samples)
 
 
 def curve_from_samples(samples: np.ndarray, kind: CurveKind,
                        ds: float | None = None) -> StripCurve:
-    """Resample an ordered point sequence to uniform arclength.
+    """Sample the ``SampledSpec`` spline through an ordered point sequence.
 
-    Chord-length parametrization with linear interpolation; tangents by
-    central differences.  For kind ANNULUS the sequence is treated as closed
-    (a duplicated endpoint is accepted and normalized away).
+    For kind ANNULUS the sequence is closed (a duplicated endpoint is
+    accepted and normalized away).  Consecutive points closer than 2.2e-16
+    of the total chord length count as coincident and are refused.
     """
     try:
         pts = np.asarray(samples, dtype=float)
@@ -395,53 +452,18 @@ def curve_from_samples(samples: np.ndarray, kind: CurveKind,
     if not (np.abs(pts) <= MAX_SPINE_SCALE).all():
         raise ValueError(f"curve samples must be finite with magnitude at most "
                          f"{MAX_SPINE_SCALE:g}")
-    closed = kind is CurveKind.ANNULUS
-    if closed and np.hypot(*(pts[0] - pts[-1])) > 1e-12:
-        pts = np.vstack([pts, pts[0]])
+    if kind is CurveKind.ANNULUS:
+        if np.hypot(*(pts[0] - pts[-1])) <= 1e-12:
+            pts = pts[:-1]
+        pts = np.vstack([pts, pts[:1]])
     chord = np.hypot(*(np.diff(pts, axis=0)).T)
-    if (chord <= 0.0).any():
+    length = float(chord.sum())
+    if not (chord > np.finfo(float).eps * length).all():
         raise ValueError("input samples contain coincident consecutive points")
-    cum = np.concatenate([[0.0], np.cumsum(chord)])
-    length = float(cum[-1])
     if not 1.0 / MAX_SPINE_SCALE <= length <= MAX_SPINE_SCALE:
         raise ValueError(f"curve samples span a length {length:g} outside "
                          f"[{1.0 / MAX_SPINE_SCALE:g}, {MAX_SPINE_SCALE:g}]")
-    if ds is None:
-        ds = length / DEFAULT_SAMPLE_COUNT
-    n_steps = max(int(round(length / ds)), 8)
-    ds = length / n_steps
-    s = ds * np.arange(n_steps + 1)
-    x = np.interp(s, cum, pts[:, 0])
-    y = np.interp(s, cum, pts[:, 1])
-    p = np.column_stack([x, y])
-    if closed:
-        t = np.empty_like(p)
-        core = p[:-1]
-        t[:-1] = np.roll(core, -1, axis=0) - np.roll(core, 1, axis=0)
-        t[-1] = t[0]
-    else:
-        t = np.empty_like(p)
-        t[1:-1] = p[2:] - p[:-2]
-        t[0] = p[1] - p[0]
-        t[-1] = p[-1] - p[-2]
-    t = t / np.hypot(*t.T)[:, None]
-    return StripCurve(points=p, tangents=t, normals=_left_normal(t),
-                      ds=ds, length=length, kind=kind, source=None)
-
-
-@dataclass(frozen=True)
-class Annulus:
-    """A generalized annulus: the width-2 strip around a closed spine."""
-
-    spine: StripCurve
-
-    def __post_init__(self) -> None:
-        if self.spine.kind is not CurveKind.ANNULUS:
-            raise ValueError(f"annulus needs a closed spine, got kind={self.spine.kind}")
-
-    @property
-    def spine_length(self) -> float:
-        return self.spine.length
+    return curve_from_source(SampledSpec(pts, kind), ds=ds)
 
 
 # ---------------------------------------------------------------------------
@@ -551,24 +573,19 @@ def load_curve(path: str, ds: float | None = None) -> StripCurve:
 def retruncate(curve: StripCurve, target_length: float) -> tuple[StripCurve, float]:
     """Realize a semi-infinite/infinite spine on a window of the given length.
 
-    Analytic sources are rebuilt exactly; sampled spines are cut down (from
-    s=0 for semi-infinite, centered for infinite).  Returns (curve, realized
-    length).  Finite and annulus spines are returned untouched.
+    A straight segment is rebuilt at the target length; any other source is
+    windowed (from s=0 for semi-infinite, centered for infinite) and a spine
+    shorter than the target is refused with ValueError.  Returns (curve,
+    realized length).  Finite and annulus spines are returned untouched.
     """
     if curve.kind not in (CurveKind.SEMI_INFINITE, CurveKind.INFINITE):
         return curve, curve.length
     if isinstance(curve.source, SegmentSpec):
         src = SegmentSpec(length=target_length, kind=curve.kind)
         return curve_from_source(src, n_samples=DEFAULT_SAMPLE_COUNT), target_length
-    if target_length >= curve.length:
-        return curve, curve.length
-    n_keep = max(int(round(target_length / curve.ds)), 8)
-    if curve.kind is CurveKind.INFINITE:
-        start = (len(curve.points) - 1 - n_keep) // 2
-    else:
-        start = 0
-    sl = slice(start, start + n_keep + 1)
-    return (StripCurve(points=curve.points[sl], tangents=curve.tangents[sl],
-                       normals=curve.normals[sl], ds=curve.ds,
-                       length=n_keep * curve.ds, kind=curve.kind, source=None),
-            n_keep * curve.ds)
+    if target_length > curve.length:
+        raise ValueError(f"{curve.kind.value} spine of length {curve.length:.6f} is "
+                         f"shorter than its truncation window {target_length:.6f}")
+    start = 0.5 * (curve.length - target_length) if curve.kind is CurveKind.INFINITE else 0.0
+    window = WindowSpec(curve.source, start, target_length, curve.kind)
+    return curve_from_source(window, ds=curve.ds), target_length

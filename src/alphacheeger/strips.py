@@ -265,10 +265,6 @@ class FitResult:
         return bool(self.feasible.any())
 
     @property
-    def feasible_s0(self) -> np.ndarray:
-        return self.candidates[self.feasible]
-
-    @property
     def intervals(self) -> list[tuple[float, float]]:
         out: list[tuple[float, float]] = []
         run_start = prev = None

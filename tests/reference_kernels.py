@@ -127,17 +127,9 @@ def first_segment_intersection(path_a, path_b=None, closed_a=False, closed_b=Fal
 def _frame_at(curve, s):
     if curve.kind is CurveKind.ANNULUS:
         s = s % curve.length
-    if curve.source is not None:
-        pts, tan = curve.source.frame(np.array([s]))
-        t = tan[0] / np.hypot(*tan[0])
-        return pts[0], t, np.array([-t[1], t[0]])
-    x = min(max(s, 0.0) / curve.ds, len(curve.points) - 1.0)
-    i = min(int(x), len(curve.points) - 2)
-    w = x - i
-    p = (1.0 - w) * curve.points[i] + w * curve.points[i + 1]
-    t = (1.0 - w) * curve.tangents[i] + w * curve.tangents[i + 1]
-    t = t / np.hypot(*t)
-    return p, t, np.array([-t[1], t[0]])
+    pts, tan = curve.source.frame(np.array([s]))
+    t = tan[0] / np.hypot(*tan[0])
+    return pts[0], t, np.array([-t[1], t[0]])
 
 
 def _cap_boundary(center, tangent, normal, outward, n_points):

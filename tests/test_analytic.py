@@ -255,7 +255,6 @@ def test_solution_record_validation():
         CheegerSolution(kind=SolutionKind.TOPPED_SUBSTRIP, h_alpha=1.0,
                         area=1.0, perimeter=1.0, unique=True,
                         stadium_length=2.0, placements=(0.0, 3.0))
-    sol = CheegerSolution(kind=SolutionKind.TOPPED_SUBSTRIP, h_alpha=1.0,
-                          area=1.0, perimeter=1.0, unique=False,
-                          stadium_length=2.0, placements=(0.0, 3.0))
-    assert sol.free_boundary_radius_expected() == 1.0
+    CheegerSolution(kind=SolutionKind.TOPPED_SUBSTRIP, h_alpha=1.0,
+                    area=1.0, perimeter=1.0, unique=False,
+                    stadium_length=2.0, placements=(0.0, 3.0))

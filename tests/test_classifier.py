@@ -5,7 +5,6 @@ import math
 import pytest
 
 from alphacheeger import (
-    Annulus,
     CaseTag,
     CircleSpec,
     CurveKind,
@@ -295,7 +294,7 @@ def test_annulus_spine_below_threshold_is_refused():
 
 
 def test_annulus_accepts_prewrapped_domains(ring20, ring20_family):
-    assert classify_annulus(Annulus(ring20), 1.95) == ring20_family
+    assert classify_annulus(ring20, 1.95) == ring20_family
 
 
 def test_evidence_replays_to_the_reported_branch(u_spine, ring20_whole,

@@ -5,9 +5,13 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -377,6 +381,41 @@ def test_strip_names_an_overflowing_curve_field(run, curve_file, spec, field):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith(f"error: curve {field} must be finite with magnitude")
+
+
+def test_sampled_ellipse_passes_verify(run, curve_file):
+    th = 2.0 * math.pi * np.arange(8192) / 8192
+    path = curve_file("ellipse.json", {
+        "samples": np.column_stack([7.0 * np.cos(th), 5.0 * np.sin(th)]).tolist(),
+        "kind": "annulus"})
+    code, out, _ = run("strip", path, "--alpha", "1.5", "--verify")
+    assert code == 0
+    gap = next(ln for ln in out.splitlines() if ln.startswith("gap_rel:"))
+    assert float(gap.split(":")[1]) < 1e-7
+
+
+@pytest.mark.parametrize("alpha, target", [("1.05", "350.094384"), ("1.5", "42.411501")])
+def test_strip_refuses_an_unbounded_spine_shorter_than_its_window(run, curve_file,
+                                                                  alpha, target):
+    path = curve_file("short.json", {"primitive": "path", "kind": "infinite", "pieces": [
+        ["line", 8.0], ["arc", 3.4, 2.8], ["line", 8.0]]})
+    code, out, err = run("strip", path, "--alpha", alpha)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: infinite spine of length 25.520000 is shorter than "
+                   f"its truncation window {target}\n")
+
+
+def test_cli_never_imports_scipy():
+    # scipy is not a declared dependency and would add to start-up time and
+    # memory: no code path may import it, the sampled-curve spline included
+    code = ("import sys; import alphacheeger.cli; "
+            "from alphacheeger.curves import parse_curve; "
+            "parse_curve({'samples': [[0, 0], [1, 0], [2, 1], [3, 3]]}); "
+            "assert 'scipy' not in sys.modules, 'scipy imported'")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_strip_validates_each_curve_once(run, curve_file, monkeypatch):

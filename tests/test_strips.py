@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -152,10 +153,22 @@ def test_zero_length_substrip_is_a_disk_and_always_fits(ring20):
     assert bool(fit.feasible.all())
 
 
-def _sampled_ellipse():
-    th = 2.0 * math.pi * np.arange(8192) / 8192
+def _sampled_ellipse(n=8192):
+    th = 2.0 * math.pi * np.arange(n) / n
     return curve_from_samples(np.column_stack([7.0 * np.cos(th), 5.0 * np.sin(th)]),
                               kind=CurveKind.ANNULUS)
+
+
+@pytest.mark.parametrize("n", [256, 1024, 8192])
+def test_sampled_ellipse_length_matches_the_perimeter(n):
+    # the spline's arclength, not the chord sum, whose 8192-sample error is 9e-7
+    exact = float(4.0 * 7.0 * mpmath.ellipe(1.0 - 25.0 / 49.0))
+    assert _sampled_ellipse(n).length == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
+def test_coarsely_sampled_ellipse_is_admissible():
+    # true |kappa| <= 7 / 25; straight chords between 256 samples read 1.85
+    assert _sampled_ellipse(256).validate() == []
 
 
 @pytest.mark.parametrize("name", ["ring4", "ring6", "u", "hook", "gentle", "ellipse"])
@@ -206,20 +219,35 @@ def test_retruncate_analytic_and_sampled():
     assert realized == pytest.approx(40.0, rel=1e-12)
     assert cut.length == pytest.approx(40.0, rel=1e-12)
 
+    # a curved spine is windowed on its own source, centered when infinite
+    path = PathSpec((("line", 20.0), ("arc", 3.0, 2.0), ("line", 20.0)),
+                    kind=CurveKind.INFINITE)
+    for curve in (curve_from_source(path),
+                  curve_from_samples(curve_from_source(path).points, CurveKind.INFINITE)):
+        cut, realized = retruncate(curve, 30.0)
+        assert realized == cut.length == 30.0
+        start = 0.5 * (curve.length - 30.0)
+        for s in (0.0, 11.3, 30.0):
+            assert np.array_equal(cut.frame_at(s)[0], curve.frame_at(s + start)[0])
+        with pytest.raises(ValueError, match="shorter than its truncation window"):
+            retruncate(curve, curve.length + 1.0)
+
     finite = curve_from_source(SegmentSpec(20.0))
     same, realized = retruncate(finite, 10.0)
     assert same is finite  # finite spines are never shortened
     assert realized == pytest.approx(20.0)
 
 
-def test_densify_only_upsamples_analytic_sources(u_spine):
+def test_densify_upsamples_every_source(u_spine):
     finer = densify(u_spine, 10_000)
     assert len(finer.points) - 1 >= 10_000
     assert finer.length == pytest.approx(u_spine.length, rel=1e-9)
     same = densify(u_spine, 100)
     assert same is u_spine
     sampled = curve_from_samples(u_spine.points, kind=CurveKind.FINITE)
-    assert densify(sampled, 10_000) is sampled
+    finer = densify(sampled, 10_000)
+    assert len(finer.points) - 1 >= 10_000
+    assert finer.source is sampled.source and finer.length == sampled.length
 
 
 def test_parse_curve_primitives():
