@@ -59,17 +59,13 @@ from .geometry import (
     build_topped_substrip,
     contains_points,
     measure,
-    regular_polygon,
     scale_shape,
     translate_shape,
 )
 from .oracle import (
     NonUnimodalError,
     golden_section_min,
-    min_cut_corner_ratio,
-    min_stadium_ratio,
     monte_carlo_area,
-    oracle_annulus,
     oracle_rectangle,
     oracle_strip,
     ratio,

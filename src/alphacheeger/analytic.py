@@ -52,19 +52,19 @@ class CaseError(ValueError):
     """A closed form was evaluated outside the regime where it is valid."""
 
 
-def _alpha_value(alpha: float, lo: float = 1.0, hi: float = 2.0,
-                 lo_open: bool = True, hi_open: bool = True) -> float:
-    """Range-check an exponent against the interval between lo and hi.
+def _alpha_value(alpha: float, lo_open: bool = True,
+                 hi_open: bool = True) -> float:
+    """Range-check an exponent against the interval between 1 and 2.
 
     The bounds are open by default; closing one lets a caller evaluate a
     limit (alpha = 1, alpha = 2) of its formula.
     """
     a = float(alpha)
-    if (math.isnan(a) or (a < lo or (lo_open and a == lo))
-            or (a > hi or (hi_open and a == hi))):
+    if (math.isnan(a) or (a < 1.0 or (lo_open and a == 1.0))
+            or (a > 2.0 or (hi_open and a == 2.0))):
         lo_b = "(" if lo_open else "["
         hi_b = ")" if hi_open else "]"
-        raise ValueError(f"alpha={a} outside domain {lo_b}{lo}, {hi}{hi_b}")
+        raise ValueError(f"alpha={a} outside domain {lo_b}1.0, 2.0{hi_b}")
     return a
 
 

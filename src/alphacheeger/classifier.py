@@ -241,9 +241,9 @@ def classify_open_strip(curve: StripCurve, alpha, *,
     evidence: dict[str, object] = {"alpha": a, "spine_kappa_max": kappa_max}
     if curve.kind is not CurveKind.FINITE:
         target = max(TRUNCATION_DIAMETER_FACTOR * diameter_bound(a), MIN_SPINE_LENGTH)
-        curve, realized = retruncate(curve, target)
+        curve = retruncate(curve, target)
         evidence["truncation_target"] = target
-        evidence["truncated_to"] = realized
+        evidence["truncated_to"] = curve.length
 
     length = curve.length
     if length < MIN_SPINE_LENGTH * (1.0 - 1e-12):

@@ -10,8 +10,8 @@ Subcommands:
 Exit codes: 0 success, 2 argument or validation error, 3 verification gap
 above tolerance.  All numbers print with 12 significant digits and output is
 a pure function of the arguments and input files (plus the Monte Carlo seed
-where requested).  The default polygonal resolution comes from the
-ALPHACHEEGER_SEGMENTS environment variable when set, else DEFAULT_SEGMENTS.
+where requested).  The polygonal resolution is --segments (at least 4,
+default DEFAULT_SEGMENTS).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -40,7 +39,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
-ENV_SEGMENTS = "ALPHACHEEGER_SEGMENTS"
 DEFAULT_VERIFY_RTOL = 1e-6
 
 # Fixed resolutions for rendering; figures do not need measurement accuracy.
@@ -64,19 +62,6 @@ def _g(x: float) -> str:
 
 def _yes_no(flag: bool) -> str:
     return "yes" if flag else "no"
-
-
-def _default_segments() -> int:
-    raw = os.environ.get(ENV_SEGMENTS)
-    if raw is None:
-        return DEFAULT_SEGMENTS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_SEGMENTS} must be an integer, got {raw!r}") from exc
-    if value < 4:
-        raise ValueError(f"{ENV_SEGMENTS} must be >= 4, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -426,7 +411,7 @@ def _drawable_curve(curve: StripCurve, cls: StripClassification) -> StripCurve:
     """The spine window the classification actually used."""
     realized = cls.evidence.get("truncated_to")
     if realized is not None:
-        curve, _ = retruncate(curve, float(realized))
+        curve = retruncate(curve, float(realized))
     return curve
 
 
@@ -530,9 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, verify_help: str) -> None:
-        p.add_argument("--segments", type=int, default=None,
-                       help="polygon edges per arc (default: "
-                            f"${ENV_SEGMENTS} or {DEFAULT_SEGMENTS})")
+        p.add_argument("--segments", type=int, default=DEFAULT_SEGMENTS,
+                       help=f"polygon edges per arc, >= 4 (default {DEFAULT_SEGMENTS})")
         p.add_argument("--verify", action="store_true", help=verify_help)
         p.add_argument("--verify-tol", type=float, default=DEFAULT_VERIFY_RTOL,
                        help="relative tolerance for --verify "
@@ -574,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify",
                             help="oracle cross-check over the fixed grid")
-    verify.add_argument("--segments", type=int, default=None)
+    verify.add_argument("--segments", type=int, default=DEFAULT_SEGMENTS)
     verify.add_argument("--verify-tol", type=float, default=DEFAULT_VERIFY_RTOL)
     verify.set_defaults(func=cmd_verify)
 
@@ -585,8 +569,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "segments", None) is None:
-            args.segments = _default_segments()
+        if args.segments < 4:
+            raise ValueError(f"--segments must be >= 4, got {args.segments}")
         return args.func(args)
     except CurveValidationError as exc:
         for violation in exc.violations:

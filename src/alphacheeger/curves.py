@@ -4,7 +4,7 @@ An open strip (or generalized annulus) of half-width 1 is the image of
 Psi(s, t) = gamma(s) + t nu(s) for a unit-speed C^{1,1} spine gamma with
 |curvature| <= 1, where nu is the left unit normal.  This module carries the
 sampled representation of such spines: uniform-arclength samples with
-tangents and normals, taken from a source with exact frames at any arclength
+normals, taken from a source with exact frames at any arclength
 (the analytic primitives segment, arc, circle and arc/line path, the spline
 ``SampledSpec`` through a sample list, or a ``WindowSpec`` of either), plus
 a JSON file loader and the invariant validator that rejects spines the
@@ -48,6 +48,9 @@ DEFAULT_SAMPLE_COUNT = 2048  # default arclength step is length / 2048
 
 CURVATURE_SLACK = 1e-6   # |kappa| <= 1 + slack passes the admissibility check
 FRAME_TOL = 1e-8         # annulus closure tolerance
+# The closure gap of a long spine is rounding in its point coordinates, which
+# grows with the length: the position tolerance gets CLOSURE_ULPS * eps * L.
+CLOSURE_ULPS = 4.0
 # Largest accepted spine length, radius, angle or sample coordinate: beyond
 # it the product of three sample chords (discrete curvature) can overflow.
 # Spine lengths below the reciprocal would sample at a step that underflows.
@@ -288,7 +291,7 @@ def _unit_frames(source, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class StripCurve:
-    """Uniform-arclength samples of a spine: points, unit tangents, left normals.
+    """Uniform-arclength samples of a spine: points and unit left normals.
 
     For kind ANNULUS the first and last samples coincide (the closing point is
     stored explicitly).  ``source`` is the spine the samples were taken from,
@@ -297,7 +300,6 @@ class StripCurve:
     """
 
     points: np.ndarray
-    tangents: np.ndarray
     normals: np.ndarray
     ds: float
     length: float
@@ -308,8 +310,8 @@ class StripCurve:
         n = len(self.points)
         if n < 8:
             raise ValueError(f"need >= 8 samples, got {n}")
-        if self.tangents.shape != (n, 2) or self.normals.shape != (n, 2):
-            raise ValueError("points/tangents/normals must have matching shapes")
+        if self.normals.shape != (n, 2):
+            raise ValueError("points/normals must have matching shapes")
 
     def frames(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(points, tangents, normals), each (n, 2), from the source at s."""
@@ -346,7 +348,7 @@ class StripCurve:
 
     def validate(self) -> list[str]:
         """Violated admissibility invariants (empty list = valid spine); unit
-        tangents and normals hold by construction (``_unit_frames``)."""
+        normals hold by construction (``_unit_frames``)."""
         bad: list[str] = []
         kappa = np.abs(self.curvature())
         if kappa.max() > 1.0 + CURVATURE_SLACK:
@@ -355,8 +357,10 @@ class StripCurve:
                        f"at s = {i * self.ds:.6f} (must be <= 1)")
         if self.kind is CurveKind.ANNULUS:
             gap = np.hypot(*(self.points[0] - self.points[-1]))
-            tgap = np.hypot(*(self.tangents[0] - self.tangents[-1]))
-            if gap > FRAME_TOL or tgap > FRAME_TOL:
+            # the normal is the tangent turned by 90 degrees: same gap
+            tgap = np.hypot(*(self.normals[0] - self.normals[-1]))
+            gap_tol = FRAME_TOL + CLOSURE_ULPS * np.finfo(float).eps * self.length
+            if gap > gap_tol or tgap > FRAME_TOL:
                 bad.append(f"annulus spine not closed: position gap {gap:.3e}, "
                            f"tangent gap {tgap:.3e}")
         if not bad:
@@ -423,8 +427,8 @@ def curve_from_source(source, ds: float | None = None,
         ds = length / n
     n_steps = max(int(round(length / ds)), 8)
     ds = length / n_steps
-    pts, tan, nor = _unit_frames(source, ds * np.arange(n_steps + 1))
-    return StripCurve(points=pts, tangents=tan, normals=nor, ds=ds, length=length,
+    pts, _, nor = _unit_frames(source, ds * np.arange(n_steps + 1))
+    return StripCurve(points=pts, normals=nor, ds=ds, length=length,
                       kind=source.kind, source=source)
 
 
@@ -435,8 +439,7 @@ def densify(curve: StripCurve, n_samples: int) -> StripCurve:
     return curve_from_source(curve.source, n_samples=n_samples)
 
 
-def curve_from_samples(samples: np.ndarray, kind: CurveKind,
-                       ds: float | None = None) -> StripCurve:
+def curve_from_samples(samples: np.ndarray, kind: CurveKind) -> StripCurve:
     """Sample the ``SampledSpec`` spline through an ordered point sequence.
 
     For kind ANNULUS the sequence is closed (a duplicated endpoint is
@@ -463,7 +466,7 @@ def curve_from_samples(samples: np.ndarray, kind: CurveKind,
     if not 1.0 / MAX_SPINE_SCALE <= length <= MAX_SPINE_SCALE:
         raise ValueError(f"curve samples span a length {length:g} outside "
                          f"[{1.0 / MAX_SPINE_SCALE:g}, {MAX_SPINE_SCALE:g}]")
-    return curve_from_source(SampledSpec(pts, kind), ds=ds)
+    return curve_from_source(SampledSpec(pts, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +534,7 @@ def _path_pieces(raw) -> tuple[tuple, ...]:
     return tuple(pieces)
 
 
-def parse_curve(spec: dict, ds: float | None = None) -> StripCurve:
+def parse_curve(spec: dict) -> StripCurve:
     """Build a StripCurve from a parsed JSON object (see module docstring).
 
     Every number is checked once here: a non-numeric, non-finite or
@@ -555,37 +558,37 @@ def parse_curve(spec: dict, ds: float | None = None) -> StripCurve:
             source = PathSpec(pieces=_path_pieces(spec.get("pieces")), kind=kind)
         else:
             raise ValueError(f"unknown primitive {prim!r}")
-        return curve_from_source(source, ds=ds)
+        return curve_from_source(source)
     if "samples" in spec:
-        return curve_from_samples(spec["samples"], kind=_kind(spec), ds=ds)
+        return curve_from_samples(spec["samples"], kind=_kind(spec))
     raise ValueError("curve spec needs a 'primitive' or 'samples' entry")
 
 
-def load_curve(path: str, ds: float | None = None) -> StripCurve:
+def load_curve(path: str) -> StripCurve:
     """Load and validate a spine curve file; raises CurveValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    curve = parse_curve(spec, ds=ds)
+    curve = parse_curve(spec)
     curve.require_admissible()
     return curve
 
 
-def retruncate(curve: StripCurve, target_length: float) -> tuple[StripCurve, float]:
+def retruncate(curve: StripCurve, target_length: float) -> StripCurve:
     """Realize a semi-infinite/infinite spine on a window of the given length.
 
     A straight segment is rebuilt at the target length; any other source is
     windowed (from s=0 for semi-infinite, centered for infinite) and a spine
-    shorter than the target is refused with ValueError.  Returns (curve,
-    realized length).  Finite and annulus spines are returned untouched.
+    shorter than the target is refused with ValueError.  Finite and annulus
+    spines are returned untouched.
     """
     if curve.kind not in (CurveKind.SEMI_INFINITE, CurveKind.INFINITE):
-        return curve, curve.length
+        return curve
     if isinstance(curve.source, SegmentSpec):
         src = SegmentSpec(length=target_length, kind=curve.kind)
-        return curve_from_source(src, n_samples=DEFAULT_SAMPLE_COUNT), target_length
+        return curve_from_source(src)
     if target_length > curve.length:
         raise ValueError(f"{curve.kind.value} spine of length {curve.length:.6f} is "
                          f"shorter than its truncation window {target_length:.6f}")
     start = 0.5 * (curve.length - target_length) if curve.kind is CurveKind.INFINITE else 0.0
     window = WindowSpec(curve.source, start, target_length, curve.kind)
-    return curve_from_source(window, ds=curve.ds), target_length
+    return curve_from_source(window, ds=curve.ds)

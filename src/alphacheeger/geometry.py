@@ -38,7 +38,6 @@ __all__ = [
     "first_segment_intersection",
     "measure",
     "points_near_segments",
-    "regular_polygon",
     "scale_shape",
     "segment_distances",
     "signed_area",
@@ -110,15 +109,6 @@ def scale_shape(shape: PolyShape, t: float) -> PolyShape:
     if not (t > 0.0):
         raise ValueError(f"scale factor must be > 0, got {t}")
     return PolyShape(shape.vertices * t, tuple(h * t for h in shape.holes))
-
-
-def regular_polygon(sides: int, radius: float = 1.0) -> PolyShape:
-    """Regular n-gon inscribed in a circle (CCW), handy for calibration tests."""
-    if sides < 3:
-        raise ValueError(f"need >= 3 sides, got {sides}")
-    ang = 2.0 * math.pi * np.arange(sides) / sides
-    verts = radius * np.column_stack([np.cos(ang), np.sin(ang)])
-    return PolyShape(verts)
 
 
 @functools.lru_cache(maxsize=32)

@@ -7,10 +7,7 @@ Every polygonal family search is ``golden_section_min`` over
 ratio(build(x), alpha).  One of them, ``search_cut_corner_strip``, also
 gives the classifier its curved cut-corner answer, so on curved case-(i)
 spines the oracle checks resolution rather than giving an independent
-value.  Two helpers (min_cut_corner_ratio, min_stadium_ratio) minimize the
-exact ratio formulas at extended precision; they exist because the
-double-precision golden-section noise floor sqrt(eps * f / f'') sits near
-5e-8, above the 1e-8 agreement targets.
+value.  ``oracle_strip`` covers open and closed spines alike.
 """
 
 from __future__ import annotations
@@ -18,23 +15,20 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 
 from .analytic import CheegerSolution, SolutionKind, _alpha_value
 from .curves import CurveKind, StripCurve, densify
 from .geometry import (DEFAULT_SEGMENTS, PolyShape, build_cut_corner_rectangle,
-                       build_topped_substrip, contains_points, measure)
+                       build_topped_substrip, contains_points, measure,
+                       translate_shape)
 from .strips import (build_cut_corner_strip, build_strip_polygon,
                      build_topped_substrip_on_curve, fit_topped_substrip)
 
 __all__ = [
     "NonUnimodalError",
     "golden_section_min",
-    "min_cut_corner_ratio",
-    "min_stadium_ratio",
     "monte_carlo_area",
-    "oracle_annulus",
     "oracle_rectangle",
     "oracle_strip",
     "ratio",
@@ -70,38 +64,36 @@ def ratio(shape: PolyShape, alpha) -> float:
     return perim / area ** (1.0 / a)
 
 
-def golden_section_min(f: Callable, a, b, tol, *,
-                       max_iter: int = GOLDEN_MAX_ITER,
-                       prescan: int = PRESCAN_SAMPLES):
+def golden_section_min(f: Callable, a, b, tol):
     """Minimize a unimodal function on [a, b]; returns (x*, f(x*)).
 
-    Unimodality is checked empirically first: ``prescan`` equispaced samples
-    must fall (weakly) and then rise (weakly); a second descent raises
-    NonUnimodalError.  Arithmetic stays in the type of a and b, so mpmath
-    intervals keep their precision.  |x* - argmin| <= tol under unimodality.
+    Unimodality is checked empirically first: PRESCAN_SAMPLES equispaced
+    samples must fall (weakly) and then rise (weakly); a second descent
+    raises NonUnimodalError.  Arithmetic stays in the type of a and b, so
+    extended-precision intervals keep their precision.  |x* - argmin| <= tol
+    under unimodality, within GOLDEN_MAX_ITER steps.
     """
     if not (b > a):
         raise ValueError(f"need a < b, got [{a}, {b}]")
     if not (tol > 0):
         raise ValueError(f"tolerance must be positive, got {tol}")
 
-    if prescan >= 3:
-        xs = [a + (b - a) * i / (prescan - 1) for i in range(prescan)]
-        fs = [f(x) for x in xs]
-        band = 1e-12 * max(abs(float(v)) for v in fs)
-        rising_from = None
-        for i in range(len(fs) - 1):
-            d = float(fs[i + 1] - fs[i])
-            if d > band:
-                rising_from = xs[i]
-            elif d < -band and rising_from is not None:
-                raise NonUnimodalError(float(rising_from), float(xs[i]))
+    xs = [a + (b - a) * i / (PRESCAN_SAMPLES - 1) for i in range(PRESCAN_SAMPLES)]
+    fs = [f(x) for x in xs]
+    band = 1e-12 * max(abs(float(v)) for v in fs)
+    rising_from = None
+    for i in range(len(fs) - 1):
+        d = float(fs[i + 1] - fs[i])
+        if d > band:
+            rising_from = xs[i]
+        elif d < -band and rising_from is not None:
+            raise NonUnimodalError(float(rising_from), float(xs[i]))
 
     lo, hi = a, b
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         if hi - lo <= tol:
             break
         if f1 <= f2:
@@ -122,55 +114,6 @@ def _min_ratio(build: Callable[[float], PolyShape], a: float,
     x_star, _ = golden_section_min(lambda x: ratio(build(x), a), lo, hi,
                                    SEARCH_TOL)
     return x_star
-
-
-def min_cut_corner_ratio(length: float, alpha, tol: float = 1e-10,
-                         dps: int = 30) -> tuple[float, float]:
-    """Golden-section minimum of the corner-cut ratio from its exact
-    perimeter/area expressions, at ``dps`` decimal digits.
-
-    Returns (t*, ratio*).  Serves as the reference for the corner-radius
-    closed form; extended precision pushes the golden-section noise floor
-    far below the 1e-8 comparisons made against it.
-    """
-    a = _alpha_value(alpha)
-    if length < 2.0:
-        raise ValueError(f"normalized length must be >= 2, got {length}")
-    with mp.workdps(dps):
-        L = mp.mpf(length)
-        av = mp.mpf(a)
-        pi = mp.pi
-
-        def f(t):
-            perim = 2 * L + 4 - (8 - 2 * pi) * t
-            area = 2 * L - (4 - pi) * t * t
-            return perim / area ** (1 / av)
-
-        hi = min(mp.mpf(1), L / 2)
-        t_star, f_star = golden_section_min(f, mp.mpf(0), hi, mp.mpf(tol))
-        return float(t_star), float(f_star)
-
-
-def min_stadium_ratio(alpha, tol: float = 1e-10, dps: int = 30,
-                      upper: float = 100.0) -> tuple[float, float]:
-    """Golden-section minimum of m -> (2m+2pi)/(2m+pi)^(1/alpha) at ``dps``
-    digits, expanding the bracket upward until the minimum is interior.
-
-    Returns (m*, ratio*); the reference for the optimal stadium length.
-    """
-    a = _alpha_value(alpha)
-    with mp.workdps(dps):
-        av = mp.mpf(a)
-        pi = mp.pi
-
-        def f(m):
-            return (2 * m + 2 * pi) / (2 * m + pi) ** (1 / av)
-
-        hi = mp.mpf(upper)
-        while f(hi) <= f(hi * (1 - mp.mpf("1e-6"))) and hi < 1e9:
-            hi *= 2
-        m_star, f_star = golden_section_min(f, mp.mpf(0), hi, mp.mpf(tol))
-        return float(m_star), float(f_star)
 
 
 def _search_segments(segments: int) -> int:
@@ -297,7 +240,8 @@ def oracle_strip(curve: StripCurve, alpha,
     corner radius; closed spines contribute the whole annulus; the
     capped-substrip family is searched over its length with fit feasibility
     enforced, then evaluated at one feasible anchor (all placements share the
-    same measures).  Purely polygonal, mirroring oracle_rectangle.
+    same measures), translated so that its anchor point is the origin.
+    Purely polygonal, mirroring oracle_rectangle.
 
     The corner-cut search is ``search_cut_corner_strip``, the same search
     the classifier runs in case (i) of a curved spine, here at a tenth of
@@ -322,7 +266,9 @@ def oracle_strip(curve: StripCurve, alpha,
     if m_star is not None:
         s0 = _canonical_anchor(fit)
         shape = build_topped_substrip_on_curve(curve, s0, m_star, segments)
-        area, perim = measure(shape)
+        # measured next to the origin: far from it the shoelace sum cancels
+        x0, y0 = curve.frame_at(s0)[0]
+        area, perim = measure(translate_shape(shape, -x0, -y0))
         h_top = perim / area ** (1.0 / a)
         if best is None or h_top < best.h_alpha:
             best = CheegerSolution(kind=SolutionKind.TOPPED_SUBSTRIP,
@@ -331,14 +277,6 @@ def oracle_strip(curve: StripCurve, alpha,
     if best is None:
         raise ValueError(f"no candidate family applies to kind {curve.kind}")
     return best
-
-
-def oracle_annulus(curve: StripCurve, alpha,
-                   segments: int = DEFAULT_SEGMENTS) -> CheegerSolution:
-    """oracle_strip specialized to closed spines (whole domain vs substrip)."""
-    if curve.kind is not CurveKind.ANNULUS:
-        raise ValueError(f"need an annulus spine, got {curve.kind}")
-    return oracle_strip(curve, alpha, segments)
 
 
 def monte_carlo_area(shape: PolyShape, samples: int,

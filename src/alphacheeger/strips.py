@@ -42,6 +42,7 @@ __all__ = [
 CONTAINMENT_RTOL = 1e-9
 
 DEFAULT_SCAN_CAP_POINTS = 128
+CAP_PROBE_POINTS = 64  # per cap boundary ring in the collision test
 
 
 def _ccw(vertices: np.ndarray) -> np.ndarray:
@@ -282,7 +283,7 @@ class FitResult:
 
 
 def _caps_collide(c_a: np.ndarray, u_a: np.ndarray, c_b: np.ndarray,
-                  u_b: np.ndarray, n_probe: int = 64) -> bool:
+                  u_b: np.ndarray) -> bool:
     """Do two unit half-disk caps (centers c, outward flat-side directions u)
     overlap?  Probes each cap's sampled closure against the other's
     half-disk inequalities."""
@@ -293,7 +294,7 @@ def _caps_collide(c_a: np.ndarray, u_a: np.ndarray, c_b: np.ndarray,
         # coincident centers: complementary half-disks (opposite flat
         # normals) share only their diameter, anything else overlaps
         return float(u_a @ u_b) > -1.0 + 1e-9
-    phi = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_probe)
+    phi = np.linspace(-0.5 * math.pi, 0.5 * math.pi, CAP_PROBE_POINTS)
     for c_this, u_this, c_other, u_other in ((c_a, u_a, c_b, u_b),
                                              (c_b, u_b, c_a, u_a)):
         nor = np.array([-u_this[1], u_this[0]])
@@ -417,8 +418,7 @@ class _TubeProbe:
 def fit_topped_substrip(curve: StripCurve, m: float, *,
                         scan_step: float | None = None,
                         cap_points: int = DEFAULT_SCAN_CAP_POINTS,
-                        spine_points: int = 2048,
-                        tol: float | None = None) -> FitResult:
+                        spine_points: int = 2048) -> FitResult:
     """Scan anchor positions s0 at which the capped substrip fits the strip.
 
     The substrip itself is a subset of the strip by construction, so only the
@@ -454,8 +454,7 @@ def fit_topped_substrip(curve: StripCurve, m: float, *,
                                                [span]]))
 
     probe = _TubeProbe(curve, spine_points)
-    if tol is None:
-        tol = CONTAINMENT_RTOL * length + probe.eff_step ** 2 / 8.0
+    tol = CONTAINMENT_RTOL * length + probe.eff_step ** 2 / 8.0
 
     p0, t0, n0 = curve.frames(candidates)
     p1, t1, n1 = curve.frames(candidates + m)

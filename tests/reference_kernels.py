@@ -1,16 +1,26 @@
-"""Brute-force reference copies of the all-pairs strip kernels.
+"""Reference copies the package is tested against.
 
-These are the kernels as they were before the grid index: every
+The all-pairs strip kernels as they were before the grid index: every
 segment pair, every point against every edge, and the fit scan one anchor
 at a time against all spine segments near its caps.  The bit-identity
 tests compare the indexed kernels in ``alphacheeger`` with them.
+
+The two extended-precision minimizers (``min_cut_corner_ratio``,
+``min_stadium_ratio``) are the references for the corner-radius and
+stadium-length closed forms: the double-precision golden-section noise
+floor sqrt(eps * f / f'') sits near 5e-8, above the 1e-8 agreement
+targets.  ``regular_polygon`` is a calibration shape.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 
+from alphacheeger.analytic import _alpha_value
 from alphacheeger.curves import CurveKind
+from alphacheeger.geometry import PolyShape
+from alphacheeger.oracle import golden_section_min
 from alphacheeger.strips import CONTAINMENT_RTOL, DEFAULT_SCAN_CAP_POINTS, _caps_collide
 
 _CHUNK = 4_000_000
@@ -194,7 +204,7 @@ class _TubeProbe:
 
 
 def fit_feasible(curve, m, *, scan_step=None, cap_points=DEFAULT_SCAN_CAP_POINTS,
-                 spine_points=2048, tol=None):
+                 spine_points=2048):
     """(candidates, feasible) of the anchor-by-anchor fit scan."""
     wrap = curve.kind is CurveKind.ANNULUS
     length = curve.length
@@ -211,8 +221,7 @@ def fit_feasible(curve, m, *, scan_step=None, cap_points=DEFAULT_SCAN_CAP_POINTS
         n = max(int(math.floor(span / scan_step + 1e-12)), 0)
         candidates = np.unique(np.concatenate([np.arange(n + 1) * scan_step, [span]]))
     probe = _TubeProbe(curve, spine_points)
-    if tol is None:
-        tol = CONTAINMENT_RTOL * length + probe.eff_step ** 2 / 8.0
+    tol = CONTAINMENT_RTOL * length + probe.eff_step ** 2 / 8.0
     feasible = np.zeros(len(candidates), dtype=bool)
     for i, s0 in enumerate(candidates):
         p0, t0, n0 = _frame_at(curve, s0)
@@ -225,3 +234,61 @@ def fit_feasible(curve, m, *, scan_step=None, cap_points=DEFAULT_SCAN_CAP_POINTS
             continue
         feasible[i] = True
     return candidates, feasible
+
+
+def regular_polygon(sides: int, radius: float = 1.0) -> PolyShape:
+    """Regular n-gon inscribed in a circle (CCW), handy for calibration tests."""
+    if sides < 3:
+        raise ValueError(f"need >= 3 sides, got {sides}")
+    ang = 2.0 * math.pi * np.arange(sides) / sides
+    verts = radius * np.column_stack([np.cos(ang), np.sin(ang)])
+    return PolyShape(verts)
+
+
+def min_cut_corner_ratio(length: float, alpha, tol: float = 1e-10,
+                         dps: int = 30) -> tuple[float, float]:
+    """Golden-section minimum of the corner-cut ratio from its exact
+    perimeter/area expressions, at ``dps`` decimal digits.
+
+    Returns (t*, ratio*).  Serves as the reference for the corner-radius
+    closed form; extended precision pushes the golden-section noise floor
+    far below the 1e-8 comparisons made against it.
+    """
+    a = _alpha_value(alpha)
+    if length < 2.0:
+        raise ValueError(f"normalized length must be >= 2, got {length}")
+    with mp.workdps(dps):
+        L = mp.mpf(length)
+        av = mp.mpf(a)
+        pi = mp.pi
+
+        def f(t):
+            perim = 2 * L + 4 - (8 - 2 * pi) * t
+            area = 2 * L - (4 - pi) * t * t
+            return perim / area ** (1 / av)
+
+        hi = min(mp.mpf(1), L / 2)
+        t_star, f_star = golden_section_min(f, mp.mpf(0), hi, mp.mpf(tol))
+        return float(t_star), float(f_star)
+
+
+def min_stadium_ratio(alpha, tol: float = 1e-10, dps: int = 30,
+                      upper: float = 100.0) -> tuple[float, float]:
+    """Golden-section minimum of m -> (2m+2pi)/(2m+pi)^(1/alpha) at ``dps``
+    digits, expanding the bracket upward until the minimum is interior.
+
+    Returns (m*, ratio*); the reference for the optimal stadium length.
+    """
+    a = _alpha_value(alpha)
+    with mp.workdps(dps):
+        av = mp.mpf(a)
+        pi = mp.pi
+
+        def f(m):
+            return (2 * m + 2 * pi) / (2 * m + pi) ** (1 / av)
+
+        hi = mp.mpf(upper)
+        while f(hi) <= f(hi * (1 - mp.mpf("1e-6"))) and hi < 1e9:
+            hi *= 2
+        m_star, f_star = golden_section_min(f, mp.mpf(0), hi, mp.mpf(tol))
+        return float(m_star), float(f_star)

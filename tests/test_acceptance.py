@@ -32,8 +32,6 @@ from alphacheeger import (
     h_alpha_strip_limit,
     m_of_alpha,
     measure,
-    min_cut_corner_ratio,
-    min_stadium_ratio,
     oracle_rectangle,
     ratio,
     scale_shape,
@@ -41,6 +39,7 @@ from alphacheeger import (
     stadium_perimeter,
     translate_shape,
 )
+from reference_kernels import min_cut_corner_ratio, min_stadium_ratio
 
 ALPHAS = tuple(round(1.05 + 0.05 * k, 12) for k in range(19))
 CORE_LENGTHS = (2.0, 2.5, 3.0, 5.0, 8.0, 13.0)

@@ -250,16 +250,15 @@ def test_parse_value_list_forms():
         cli.parse_value_list("1:2:0")
 
 
-def test_environment_variable_sets_the_default_resolution(run, monkeypatch):
-    monkeypatch.setenv("ALPHACHEEGER_SEGMENTS", "3")
-    code, _, err = run("rect", "--length", "3", "--alpha", "1.5")
+def test_segments_option_sets_the_resolution(run):
+    code, out, err = run("rect", "--length", "3", "--alpha", "1.5", "--segments", "3")
     assert code == 2
-    assert "must be >= 4" in err
+    assert out == ""
+    assert err == "error: --segments must be >= 4, got 3\n"
 
     gaps = {}
     for n in ("200", "3200"):
-        monkeypatch.setenv("ALPHACHEEGER_SEGMENTS", n)
-        code, out, _ = run("rect", "--length", "3", "--alpha", "1.5",
+        code, out, _ = run("rect", "--length", "3", "--alpha", "1.5", "--segments", n,
                            "--verify", "--verify-tol", "1e-2")
         assert code == 0
         gaps[n] = float(next(l for l in out.splitlines()
@@ -406,13 +405,44 @@ def test_strip_refuses_an_unbounded_spine_shorter_than_its_window(run, curve_fil
                    f"its truncation window {target}\n")
 
 
+@pytest.mark.parametrize("radius", [5e7, 1e8])
+def test_large_circle_is_closed_and_verifies(run, curve_file, radius):
+    # the closure gap of its samples is rounding that grows with the length
+    path = curve_file("circle.json", {"primitive": "circle", "radius": radius})
+    code, out, err = run("strip", path, "--alpha", "1.5", "--verify")
+    assert (code, err) == (0, "")
+    assert "case: annulus_family" in out.splitlines()
+    assert "verify: PASS (tolerance 1e-06)" in out.splitlines()
+
+
+def test_short_annulus_missing_closure_is_refused(run, curve_file):
+    half = ["arc", 1.5, math.pi]
+    path = curve_file("open.json", {"primitive": "path", "kind": "annulus",
+                                    "pieces": [["line", 10.0], half,
+                                               ["line", 10.0 - 1e-7], half]})
+    code, out, err = run("strip", path, "--alpha", "1.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: annulus spine not closed: position gap 1.000e-07")
+
+
+def test_long_straight_spine_verifies(run, curve_file):
+    # the oracle measures its substrip next to the origin, not near gamma(s0)
+    path = curve_file("long.json", {"primitive": "segment", "length": 1e10})
+    code, out, _ = run("strip", path, "--alpha", "1.5", "--verify")
+    assert code == 0
+    gap = next(ln for ln in out.splitlines() if ln.startswith("gap_rel:"))
+    assert float(gap.split(":")[1]) < 1e-6
+
+
 def test_cli_never_imports_scipy():
-    # scipy is not a declared dependency and would add to start-up time and
-    # memory: no code path may import it, the sampled-curve spline included
+    # numpy is the one runtime dependency: scipy and mpmath would add to
+    # start-up time and memory, so no code path may import them, the
+    # sampled-curve spline included
     code = ("import sys; import alphacheeger.cli; "
             "from alphacheeger.curves import parse_curve; "
             "parse_curve({'samples': [[0, 0], [1, 0], [2, 1], [3, 3]]}); "
-            "assert 'scipy' not in sys.modules, 'scipy imported'")
+            "assert 'scipy' not in sys.modules, 'scipy imported'; "
+            "assert 'mpmath' not in sys.modules, 'mpmath imported'")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})

@@ -15,7 +15,6 @@ from alphacheeger import (
     cut_corner_area,
     cut_corner_perimeter,
     measure,
-    regular_polygon,
     scale_shape,
     stadium_area,
     stadium_perimeter,
@@ -25,6 +24,7 @@ from alphacheeger import CircleSpec, PathSpec, curve_from_source
 from alphacheeger.geometry import _unit_arc, first_segment_intersection
 
 import reference_kernels as ref
+from reference_kernels import regular_polygon
 
 SQUARE = PolyShape(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]))
 

