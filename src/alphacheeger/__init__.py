@@ -64,6 +64,7 @@ from .geometry import (
 )
 from .oracle import (
     NonUnimodalError,
+    UnconvergedSearchError,
     golden_section_min,
     monte_carlo_area,
     oracle_rectangle,
@@ -76,6 +77,7 @@ from .strips import (
     build_cut_corner_strip,
     build_strip_polygon,
     build_topped_substrip_on_curve,
+    cut_corner_strip_measures,
     fit_topped_substrip,
 )
 

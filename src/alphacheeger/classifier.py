@@ -2,8 +2,9 @@
 
 Rectangles are handled by closed forms end to end.  Open strips with a
 genuinely curved spine need two numeric ingredients: the cut-corner case has
-no closed-form radius, so it is golden-searched over polygonal builds (by
-``oracle.search_cut_corner_strip``, shared with the oracle), and the
+no closed-form radius, so it is golden-searched over the strip's exact
+measures minus four corner patches (``strips.cut_corner_strip_measures``:
+no polygon is built, so the oracle's polygonal search checks it), and the
 capped-substrip family needs the fit scanner for its placements (its
 measures stay the curvature-independent closed forms).  Generalized annuli
 compare the substrip family against the whole domain, whose measures
@@ -41,10 +42,9 @@ from .analytic import (
     stadium_area,
     stadium_perimeter,
 )
-from .curves import CurveKind, StripCurve, densify, retruncate
-from .geometry import DEFAULT_SEGMENTS
-from .oracle import search_cut_corner_strip
-from .strips import FitResult, fit_topped_substrip
+from .curves import CurveKind, StripCurve, retruncate
+from .oracle import SEARCH_TOL, golden_section_min
+from .strips import FitResult, cut_corner_strip_measures, fit_topped_substrip
 
 # Shortest supported spine; the structure results need L >= 9 pi / 2 and
 # shorter strips are refused rather than guessed at.
@@ -169,23 +169,34 @@ def h_alpha_rectangle(length: float, alpha) -> float:
     return classify_rectangle(length, alpha).solution.h_alpha
 
 
-def _cut_corner_strip_classification(curve: StripCurve, a: float, segments: int,
+def _cut_corner_strip_classification(curve: StripCurve, a: float,
                                      evidence: dict[str, object]) -> StripClassification:
     """Unique cut-corner solution on a curved spine, radius by golden section.
 
     There is no closed form for the corner radius off the straight spine, so
-    ``search_cut_corner_strip`` minimizes the family numerically, at full
-    polygonal resolution throughout (the builds are vectorized and cheap
-    enough).  The stationarity relation r = (alpha/h) |E|^(1-1/alpha) is
-    recorded as a residual for a-posteriori checking; it is meaningful only
-    when the optimum is interior (r < 1).
+    the ratio is golden-searched over t in [1e-9, 1] on
+    ``cut_corner_strip_measures``: the strip's exact measures minus four
+    corner patches, with no polygon built; the oracle's polygonal search
+    shares only ``golden_section_min`` with it.  The stationarity relation
+    r = (alpha/h) |E|^(1-1/alpha) is recorded as a residual for a-posteriori
+    checking; it is meaningful only when the optimum is interior (r < 1).
     """
-    solution = search_cut_corner_strip(densify(curve, segments), a,
-                                       segments, segments)
-    r = solution.radius
+    measures = cut_corner_strip_measures(curve)
+
+    def h_of(t: float) -> float:
+        area, perim = measures(t)
+        return perim / area ** (1.0 / a)
+
+    t_star, _ = golden_section_min(h_of, 1e-9, 1.0, SEARCH_TOL)
+    area, perim = measures(t_star)
+    h = perim / area ** (1.0 / a)
+    r = min(float(t_star), 1.0)
+    solution = CheegerSolution(kind=SolutionKind.CUT_CORNERS, h_alpha=h,
+                               area=area, perimeter=perim, unique=True,
+                               radius=r)
     evidence["radius"] = r
     evidence["radius_relation_residual"] = abs(
-        free_boundary_radius(solution.h_alpha, solution.area, a) - r) / r
+        free_boundary_radius(h, area, a) - r) / r
     return StripClassification(CaseTag.UNIQUE_CUT_CORNERS, solution, evidence)
 
 
@@ -212,8 +223,7 @@ def _topped_family_classification(a: float, m: float, fit: FitResult,
     return StripClassification(CaseTag.TOPPED_FAMILY, solution, evidence)
 
 
-def classify_open_strip(curve: StripCurve, alpha, *,
-                        segments: int = DEFAULT_SEGMENTS) -> StripClassification:
+def classify_open_strip(curve: StripCurve, alpha) -> StripClassification:
     """Classify the width-2 strip around an open spine.
 
     Straight finite spines delegate to ``classify_rectangle`` (the strip is
@@ -263,7 +273,7 @@ def classify_open_strip(curve: StripCurve, alpha, *,
 
     if length < lower * (1.0 - CASE_BOUNDARY_RTOL):
         evidence["case"] = "i"
-        return _cut_corner_strip_classification(curve, a, segments, evidence)
+        return _cut_corner_strip_classification(curve, a, evidence)
 
     fit = fit_topped_substrip(curve, m)
     evidence["fit_step"] = fit.step
@@ -281,7 +291,7 @@ def classify_open_strip(curve: StripCurve, alpha, *,
     if fit.any_feasible:
         return _topped_family_classification(a, m, fit, evidence)
     evidence["fit_empty"] = True
-    return _cut_corner_strip_classification(curve, a, segments, evidence)
+    return _cut_corner_strip_classification(curve, a, evidence)
 
 
 def classify_annulus(spine: StripCurve, alpha) -> StripClassification:

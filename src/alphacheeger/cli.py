@@ -11,7 +11,8 @@ Exit codes: 0 success, 2 argument or validation error, 3 verification gap
 above tolerance.  All numbers print with 12 significant digits and output is
 a pure function of the arguments and input files (plus the Monte Carlo seed
 where requested).  The polygonal resolution is --segments (at least 4,
-default DEFAULT_SEGMENTS).
+default DEFAULT_SEGMENTS); on strip it sets the oracle, Monte Carlo and SVG
+polygons only, since the strip classifiers build none.
 """
 
 from __future__ import annotations
@@ -368,7 +369,7 @@ def cmd_strip(args) -> int:
     if curve.kind is CurveKind.ANNULUS:
         cls = classify_annulus(curve, args.alpha)
     else:
-        cls = classify_open_strip(curve, args.alpha, segments=args.segments)
+        cls = classify_open_strip(curve, args.alpha)
     lines += classification_lines(cls, args.alpha)
     lines += evidence_lines(cls)
 

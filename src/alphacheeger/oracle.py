@@ -4,10 +4,10 @@ Everything here re-derives answers from polygonal measures and generic
 one-dimensional minimization, never from the closed forms, so agreement
 between this module and ``analytic`` is a real check rather than an echo.
 Every polygonal family search is ``golden_section_min`` over
-ratio(build(x), alpha).  One of them, ``search_cut_corner_strip``, also
-gives the classifier its curved cut-corner answer, so on curved case-(i)
-spines the oracle checks resolution rather than giving an independent
-value.  ``oracle_strip`` covers open and closed spines alike.
+ratio(build(x), alpha), searched coarse and re-measured at full resolution.
+``oracle_strip`` covers open and closed spines alike; its cut-corner search
+builds polygons, where the classifier measures corner patches, so on curved
+spines too the two agree only if both are right.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .strips import (build_cut_corner_strip, build_strip_polygon,
 
 __all__ = [
     "NonUnimodalError",
+    "UnconvergedSearchError",
     "golden_section_min",
     "monte_carlo_area",
     "oracle_rectangle",
@@ -44,6 +45,18 @@ SEARCH_TOL = 1e-9
 # stadium bracket [0, L - 2] by _INVPHI per step and has GOLDEN_MAX_ITER
 # steps to bring it below SEARCH_TOL (L about 6e32).
 MAX_ORACLE_LENGTH = 2.0 + SEARCH_TOL / _INVPHI ** GOLDEN_MAX_ITER
+
+
+class UnconvergedSearchError(ValueError):
+    """Golden section used its GOLDEN_MAX_ITER steps with the bracket still
+    wider than the tolerance."""
+
+    def __init__(self, lo, hi, tol, iterations: int):
+        self.lo, self.hi, self.tol, self.iterations = lo, hi, tol, iterations
+        super().__init__(
+            f"golden section did not converge: bracket [{lo!r}, {hi!r}] of "
+            f"width {hi - lo!r} is still wider than tolerance {tol!r} after "
+            f"{iterations} iterations")
 
 
 class NonUnimodalError(ValueError):
@@ -71,7 +84,8 @@ def golden_section_min(f: Callable, a, b, tol):
     samples must fall (weakly) and then rise (weakly); a second descent
     raises NonUnimodalError.  Arithmetic stays in the type of a and b, so
     extended-precision intervals keep their precision.  |x* - argmin| <= tol
-    under unimodality, within GOLDEN_MAX_ITER steps.
+    under unimodality, within GOLDEN_MAX_ITER steps; a bracket still wider
+    than tol after them raises UnconvergedSearchError.
     """
     if not (b > a):
         raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -104,6 +118,8 @@ def golden_section_min(f: Callable, a, b, tol):
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INVPHI * (hi - lo)
             f2 = f(x2)
+    if hi - lo > tol:
+        raise UnconvergedSearchError(lo, hi, tol, GOLDEN_MAX_ITER)
     x_star = (lo + hi) / 2
     return x_star, f(x_star)
 
@@ -212,20 +228,20 @@ def _best_feasible_stadium(curve: StripCurve, a: float, coarse: int,
     return lo, fit_lo
 
 
-def search_cut_corner_strip(curve: StripCurve, alpha, search_segments: int,
+def search_cut_corner_strip(curve: StripCurve, dense: StripCurve, alpha,
                             segments: int) -> CheegerSolution:
     """Best member of the cut-corner family on a finite spine.
 
-    Golden-searches the corner radius t in [1e-9, 1] over builds at
-    ``search_segments`` per arc, then measures the winner at ``segments``.
-    ``curve`` should already be densified to ``segments``.  This is the
-    classifier's case-(i) answer on curved spines (searched at full
-    resolution) and the oracle's cut-corner candidate (searched at a tenth).
+    Golden-searches the corner radius t in [1e-9, 1] over builds on
+    ``curve`` (the spine as loaded) at a tenth of ``segments`` per arc, then
+    measures the winner on ``dense`` (the same spine densified to
+    ``segments``) at ``segments`` per arc, as oracle_rectangle does.
     """
     a = _alpha_value(alpha)
-    t_star = _min_ratio(
-        lambda t: build_cut_corner_strip(curve, t, search_segments), a, 1e-9, 1.0)
-    area, perim = measure(build_cut_corner_strip(curve, t_star, segments))
+    coarse = _search_segments(segments)
+    t_star = _min_ratio(lambda t: build_cut_corner_strip(curve, t, coarse),
+                        a, 1e-9, 1.0)
+    area, perim = measure(build_cut_corner_strip(dense, t_star, segments))
     return CheegerSolution(kind=SolutionKind.CUT_CORNERS,
                            h_alpha=perim / area ** (1.0 / a), area=area,
                            perimeter=perim, unique=True,
@@ -237,37 +253,34 @@ def oracle_strip(curve: StripCurve, alpha,
     """Best ratio over the candidate families living on a strip spine.
 
     The corner-cut family (finite open spines) is golden-searched over the
-    corner radius; closed spines contribute the whole annulus; the
-    capped-substrip family is searched over its length with fit feasibility
-    enforced, then evaluated at one feasible anchor (all placements share the
-    same measures), translated so that its anchor point is the origin.
-    Purely polygonal, mirroring oracle_rectangle.
-
-    The corner-cut search is ``search_cut_corner_strip``, the same search
-    the classifier runs in case (i) of a curved spine, here at a tenth of
-    the resolution.  There ``--verify`` is a resolution check, not an
-    independent witness.
+    corner radius (``search_cut_corner_strip``); closed spines contribute
+    the whole annulus; the capped-substrip family is searched over its
+    length with fit feasibility enforced, then evaluated at one feasible
+    anchor (all placements share the same measures), translated so that its
+    anchor point is the origin.  Purely polygonal, mirroring
+    oracle_rectangle, so on curved spines it checks the classifier's
+    patch-measure search independently.
     """
     a = _alpha_value(alpha)
-    curve = densify(curve, segments)
+    dense = densify(curve, segments)
     coarse = _search_segments(segments)
     best: CheegerSolution | None = None
 
     if curve.kind is CurveKind.FINITE:
-        best = search_cut_corner_strip(curve, a, coarse, segments)
+        best = search_cut_corner_strip(curve, dense, a, segments)
     elif curve.kind is CurveKind.ANNULUS:
-        shape = build_strip_polygon(curve)
+        shape = build_strip_polygon(dense)
         area, perim = measure(shape)
         best = CheegerSolution(kind=SolutionKind.WHOLE_DOMAIN,
                                h_alpha=perim / area ** (1.0 / a),
                                area=area, perimeter=perim, unique=True)
 
-    m_star, fit = _best_feasible_stadium(curve, a, coarse)
+    m_star, fit = _best_feasible_stadium(dense, a, coarse)
     if m_star is not None:
         s0 = _canonical_anchor(fit)
-        shape = build_topped_substrip_on_curve(curve, s0, m_star, segments)
+        shape = build_topped_substrip_on_curve(dense, s0, m_star, segments)
         # measured next to the origin: far from it the shoelace sum cancels
-        x0, y0 = curve.frame_at(s0)[0]
+        x0, y0 = dense.frame_at(s0)[0]
         area, perim = measure(translate_shape(shape, -x0, -y0))
         h_top = perim / area ** (1.0 / a)
         if best is None or h_top < best.h_alpha:

@@ -35,6 +35,7 @@ __all__ = [
     "build_cut_corner_strip",
     "build_strip_polygon",
     "build_topped_substrip_on_curve",
+    "cut_corner_strip_measures",
     "fit_topped_substrip",
 ]
 
@@ -43,6 +44,16 @@ CONTAINMENT_RTOL = 1e-9
 
 DEFAULT_SCAN_CAP_POINTS = 128
 CAP_PROBE_POINTS = 64  # per cap boundary ring in the collision test
+
+# Corner patches of cut_corner_strip_measures: the crossing table covers
+# arclength pi/2 from each end (plus a margin for the curvature slack), and
+# each offset run is CORNER_RUN_POINTS source points (odd, so every second
+# point keeps both ends).
+CORNER_REACH = 0.5 * math.pi * 1.01
+CORNER_TABLE_POINTS = 513
+CORNER_MAX_SECANT_STEPS = 8
+CORNER_CROSSING_TOL = 1e-14  # arclength step that ends the secant iteration
+CORNER_RUN_POINTS = 257
 
 
 def _ccw(vertices: np.ndarray) -> np.ndarray:
@@ -164,18 +175,26 @@ def _end_offset_crossing(curve: StripCurve, end: int, level: float,
 
     ``end`` is 0 for the s=0 end, 1 for the s=L end.  Monotone near the ends
     for admissible spines; solved on the samples with linear interpolation.
+    For depth <= 1 the crossing lies within arclength pi/2 of the end (see
+    ``cut_corner_strip_measures``), so only the samples that far out (plus
+    two steps) are scanned first; the whole offset is the fallback.
     """
-    pts = curve.offset(level)
+    pts, nor = curve.points, curve.normals
     if end == 0:
         base, tan, _ = curve.frame_at(0.0)
         inward = tan
     else:
         base, tan, _ = curve.frame_at(curve.length)
         inward = -tan
-        pts = pts[::-1]
-    g = (pts - base) @ inward
-    idx = int(np.argmax(g >= depth))
-    if g[idx] < depth:
+        pts, nor = pts[::-1], nor[::-1]
+    n = len(pts)
+    near = min(int(0.5 * math.pi / curve.ds) + 3, n)
+    for count in (near, n):
+        g = (pts[:count] + level * nor[:count] - base) @ inward
+        idx = int(np.argmax(g >= depth))
+        if g[idx] >= depth:
+            break
+    else:
         raise ValueError(f"spine too short to cut a corner of depth {depth}")
     if idx == 0:
         return 0.0 if end == 0 else curve.length
@@ -245,6 +264,106 @@ def build_cut_corner_strip(curve: StripCurve, t: float,
     if area <= 0.0:
         raise ValueError(f"degenerate corner-cut strip (signed area {area})")
     return PolyShape(boundary)
+
+
+def cut_corner_strip_measures(curve: StripCurve):
+    """(area, perimeter) of the cut-corner strip as a function of its corner
+    radius t in (0, 1], on a finite open spine, without building a polygon.
+
+    The strip measures exactly (2L, 2L + 4); cutting a corner removes the
+    patch bounded by the end line, the +-1 offset from the end to the arc's
+    tangency and the arc itself, so the returned function gives
+    (2L - sum dA_c(t), 2L + 4 - sum dP_c(t)) over the four corners.  Per
+    corner, in coordinates x along the inward tangent and y along the normal
+    at the end e:
+
+    * the arc center c = Psi(s_c, +-(1 - t)) solves (c - e) . inward = t.
+      That distance g(s) has g' >= t cos s from the end when |kappa| <= 1,
+      so the root lies within arclength pi/2; a table of (gamma - e) .
+      inward and nu . inward over that reach brackets it (g is linear in t),
+      then secant steps on the source frames refine it until a step is
+      below CORNER_CROSSING_TOL (two or three; a curvature jump next to s_c
+      takes the third);
+    * the arc sweeps theta between -inward and the offset's normal at s_c:
+      length t theta, circular segment t^2 (theta - sin theta) / 2;
+    * the end-line piece is |y_side - y_c|; the offset run, of speed
+      1 -+ kappa, has the exact length |s_c - s_end| + theta - pi/2;
+    * the area between run, arc chord and end line is a shoelace over
+      CORNER_RUN_POINTS source points spaced evenly between the exact
+      endpoints, Richardson-combined with every second point (the error of
+      an inscribed polygon is even in its step).  A fixed count keeps the
+      measure smooth in t, which the radius search depends on.
+    """
+    if curve.kind is not CurveKind.FINITE:
+        raise ValueError(f"corner cutting needs a finite open spine, got {curve.kind}")
+    length = curve.length
+    s_end = np.array([0.0, length])
+    e, tan_e, nor_e = curve.frames(s_end)
+    inward = tan_e * [[1.0], [-1.0]]
+    reach = min(CORNER_REACH, 0.5 * length)
+    u = np.linspace(0.0, reach, CORNER_TABLE_POINTS)
+    p, _, nor = curve.frames(np.concatenate([u, length - u]))
+    dist = np.einsum("eki,ei->ek", p.reshape(2, -1, 2) - e[:, None], inward)
+    lean = np.einsum("eki,ei->ek", nor.reshape(2, -1, 2), inward)
+
+    # corners (end 0, side -1), (end 0, +1), (end 1, -1), (end 1, +1)
+    ends = np.array([0, 0, 1, 1])
+    side = np.array([-1.0, 1.0, -1.0, 1.0])
+    heading = np.array([1.0, 1.0, -1.0, -1.0])  # direction of s away from the end
+    e, inward, nor_e = e[ends], inward[ends], nor_e[ends]
+    dist, lean, s_end = dist[ends], lean[ends], s_end[ends]
+    run = np.linspace(0.0, 1.0, CORNER_RUN_POINTS)
+    rows = np.arange(4)
+
+    def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+    def loop_area(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return 0.5 * (x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y).sum(axis=1)
+
+    def measures(t: float) -> tuple[float, float]:
+        if not (0.0 < t <= 1.0):
+            raise ValueError(f"corner radius must be in (0, 1], got {t}")
+        level = side * (1.0 - t)
+        g = dist + level[:, None] * lean - t
+        k = np.argmax(g >= 0.0, axis=1)
+        if not (g[rows, k] >= 0.0).all():
+            raise ValueError(f"spine too short to cut a corner of depth {t}")
+        u_lo, u_hi = u[k - 1], u[k]
+        g_lo, g_hi = g[rows, k - 1], g[rows, k]
+        x = u_lo - g_lo * (u_hi - u_lo) / (g_hi - g_lo)
+        x_prev, g_prev = u_hi, g_hi
+        for _ in range(CORNER_MAX_SECANT_STEPS):
+            pc, _, nc = curve.frames(s_end + heading * x)
+            gx = dot(pc - e, inward) + level * dot(nc, inward) - t
+            slope = gx - g_prev
+            moved = slope != 0.0
+            step = gx * (x - x_prev) / np.where(moved, slope, 1.0)
+            x_prev, g_prev = x, gx
+            x = np.clip(np.where(moved, x - step, x), u_lo, u_hi)
+            if (np.abs(x - x_prev) <= CORNER_CROSSING_TOL).all():
+                break
+
+        s = s_end[:, None] + (heading * x)[:, None] * run
+        p, _, nor = curve.frames(s.ravel())
+        p, nor = p.reshape(4, -1, 2), nor.reshape(4, -1, 2)
+        rel = p + side[:, None, None] * nor - e[:, None]  # the +-1 offset run
+        xs, ys = dot(rel, inward[:, None]), dot(rel, nor_e[:, None])
+        yc = dot(p[:, -1] + level[:, None] * nor[:, -1] - e, nor_e)
+        touch = side[:, None] * nor[:, -1]  # from the arc center to the offset
+        theta = np.arctan2(np.abs(dot(touch, nor_e)), -dot(touch, inward))
+        # loop: the corner, the run to the tangency, the foot (0, y_c)
+        fine = loop_area(np.column_stack([xs, np.zeros(4)]),
+                         np.column_stack([ys, yc]))
+        coarse = loop_area(np.column_stack([xs[:, ::2], np.zeros(4)]),
+                           np.column_stack([ys[:, ::2], yc]))
+        patch_area = (np.abs(4.0 * fine - coarse) / 3.0
+                      - 0.5 * t * t * (theta - np.sin(theta)))
+        patch_perim = np.abs(side - yc) + x + theta - 0.5 * math.pi - t * theta
+        return (2.0 * length - float(patch_area.sum()),
+                2.0 * length + 4.0 - float(patch_perim.sum()))
+
+    return measures
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 The all-pairs strip kernels as they were before the grid index: every
 segment pair, every point against every edge, and the fit scan one anchor
-at a time against all spine segments near its caps.  The bit-identity
-tests compare the indexed kernels in ``alphacheeger`` with them.
+at a time against all spine segments near its caps; and the corner
+crossing of the cut-corner strip scanned over the whole offset.  The
+bit-identity tests compare the indexed and localized kernels in
+``alphacheeger`` with them.
 
 The two extended-precision minimizers (``min_cut_corner_ratio``,
 ``min_stadium_ratio``) are the references for the corner-radius and
@@ -140,6 +142,28 @@ def _frame_at(curve, s):
     pts, tan = curve.source.frame(np.array([s]))
     t = tan[0] / np.hypot(*tan[0])
     return pts[0], t, np.array([-t[1], t[0]])
+
+
+def end_offset_crossing(curve, end, level, depth):
+    """strips._end_offset_crossing scanning the whole offset polyline."""
+    pts = curve.offset(level)
+    if end == 0:
+        base, tan, _ = curve.frame_at(0.0)
+        inward = tan
+    else:
+        base, tan, _ = curve.frame_at(curve.length)
+        inward = -tan
+        pts = pts[::-1]
+    g = (pts - base) @ inward
+    idx = int(np.argmax(g >= depth))
+    if g[idx] < depth:
+        raise ValueError(f"spine too short to cut a corner of depth {depth}")
+    if idx == 0:
+        return 0.0 if end == 0 else curve.length
+    g0, g1 = g[idx - 1], g[idx]
+    w = (depth - g0) / (g1 - g0)
+    s_from_end = (idx - 1 + w) * curve.ds
+    return s_from_end if end == 0 else curve.length - s_from_end
 
 
 def _cap_boundary(center, tangent, normal, outward, n_points):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import alphacheeger
 from alphacheeger import (
     CaseTag,
     CircleSpec,
@@ -21,6 +22,7 @@ from alphacheeger import (
     diameter_bound,
     h_alpha_strip_limit,
     m_of_alpha,
+    oracle_strip,
 )
 
 # Frozen from classify_rectangle at the listed cells; the radius and ratio
@@ -41,7 +43,9 @@ U_SPINE_FIT_STEP = 0.05869745408493621
 # candidate ratios agree to 2.2e-16 relative there.
 RING20_TIE_ALPHA = 1.23849914454155
 
-RESIDUAL_BOUND = {"acceptance": 5e-7, "ci": 5e-4}
+# The cut-corner search runs on exact strip measures minus corner patches,
+# so its stationarity residual does not depend on the test mode.
+RESIDUAL_BOUND = 5e-7
 
 
 # the fit scan over the full ring is the expensive part of classify_annulus,
@@ -185,8 +189,8 @@ def test_semi_infinite_spine_truncates_to_safe_window():
     assert 0.0 < lo < hi < first.evidence["truncated_to"]
 
 
-def test_curved_long_spine_family_matches_frozen_fit(u_spine, segments):
-    c = classify_open_strip(u_spine, 1.5, segments=segments)
+def test_curved_long_spine_family_matches_frozen_fit(u_spine):
+    c = classify_open_strip(u_spine, 1.5)
     assert c.case_tag is CaseTag.TOPPED_FAMILY
     assert c.evidence["case"] == "ii"
     assert not c.solution.unique
@@ -197,20 +201,20 @@ def test_curved_long_spine_family_matches_frozen_fit(u_spine, segments):
     assert c.solution.placements == pytest.approx(U_SPINE_FIT_INTERVAL, abs=1e-9)
 
 
-def test_curved_short_spine_searches_corner_radius(u_spine, segments, mode):
+def test_curved_short_spine_searches_corner_radius(u_spine):
     # M(1.08) + 2 is about 20.1, the U spine is 15.0, so this is case i with
     # no closed-form radius; the golden search must land on a stationary
-    # point of the shape ratio (residual bound scales with the resolution)
-    c = classify_open_strip(u_spine, 1.08, segments=segments)
+    # point of the shape ratio
+    c = classify_open_strip(u_spine, 1.08)
     assert c.case_tag is CaseTag.UNIQUE_CUT_CORNERS
     assert c.evidence["case"] == "i"
     assert c.solution.unique
     assert 0.97 < c.solution.radius < 0.98
-    assert c.evidence["radius_relation_residual"] < RESIDUAL_BOUND[mode]
+    assert c.evidence["radius_relation_residual"] < RESIDUAL_BOUND
 
 
 def test_tight_bends_block_the_family_and_gentle_bends_admit_it(
-        hook_spine, gentle_spine, segments, mode):
+        hook_spine, gentle_spine):
     # same arclength decomposition, same alpha; only the bend radius differs.
     # alpha is tuned so the substrip needs all but 2.5 units of the spine:
     # radius-1.05 turns squeeze the caps into collision, radius-8 turns do
@@ -219,21 +223,51 @@ def test_tight_bends_block_the_family_and_gentle_bends_admit_it(
     alpha = (2.0 + 2.0 * m / math.pi) / (1.0 + 2.0 * m / math.pi)
     assert m_of_alpha(alpha) == pytest.approx(m, rel=1e-12)
 
-    blocked = classify_open_strip(hook_spine, alpha, segments=segments)
+    blocked = classify_open_strip(hook_spine, alpha)
     assert blocked.evidence["case"] == "iii"
     assert blocked.case_tag is CaseTag.UNIQUE_CUT_CORNERS
     assert blocked.evidence["fit_empty"] is True
     assert blocked.evidence["fit_intervals"] == []
     assert blocked.solution.radius < 1.0
-    assert blocked.evidence["radius_relation_residual"] < RESIDUAL_BOUND[mode]
+    assert blocked.evidence["radius_relation_residual"] < RESIDUAL_BOUND
 
-    admitted = classify_open_strip(gentle_spine, alpha, segments=segments)
+    admitted = classify_open_strip(gentle_spine, alpha)
     assert admitted.evidence["case"] == "iii"
     assert admitted.case_tag is CaseTag.TOPPED_FAMILY
     lo, hi = admitted.solution.placements
     assert 0.0 < lo < hi < gentle_spine.length
     # when the family fits it wins: the blocked spine pays a ratio penalty
     assert admitted.solution.h_alpha < blocked.solution.h_alpha
+
+
+@pytest.mark.parametrize("pieces", [
+    (("arc", 4.0, 1.0), ("line", 7.5), ("arc", 4.0, -1.0)),
+    (("arc", 1.05, 1.71), ("line", 10.64), ("arc", 1.05, 1.71)),
+], ids=["s", "hook"])
+def test_curved_case_i_builds_no_polygon(pieces, monkeypatch, segments, oracle_rtol):
+    # case i on spines whose ends are arcs: the radius search runs on the
+    # strip's exact measures minus corner patches, never on a polygon, and
+    # the polygonal oracle (run first, unpatched) checks it independently
+    spine = curve_from_source(PathSpec(pieces))
+    m = spine.length - 2.0 + 3.0
+    alpha = (m + math.pi) / (m + 0.5 * math.pi)
+    assert m_of_alpha(alpha) == pytest.approx(m, rel=1e-12)
+    oracle = oracle_strip(spine, alpha, segments)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the case-i classifier built or measured a polygon")
+
+    for module in (alphacheeger.classifier, alphacheeger.curves,
+                   alphacheeger.geometry, alphacheeger.oracle, alphacheeger.strips):
+        for name in ("build_cut_corner_strip", "measure", "densify"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    c = classify_open_strip(spine, alpha)
+    assert c.case_tag is CaseTag.UNIQUE_CUT_CORNERS
+    assert c.evidence["case"] == "i"
+    assert 0.0 < c.solution.radius < 1.0
+    assert c.evidence["radius_relation_residual"] < RESIDUAL_BOUND
+    assert c.solution.h_alpha == pytest.approx(oracle.h_alpha, rel=oracle_rtol)
 
 
 def test_spine_validation_failures_propagate():
@@ -293,17 +327,13 @@ def test_annulus_spine_below_threshold_is_refused():
         classify_annulus(curve_from_source(CircleSpec(2.0)), 1.5)
 
 
-def test_annulus_accepts_prewrapped_domains(ring20, ring20_family):
-    assert classify_annulus(ring20, 1.95) == ring20_family
-
-
 def test_evidence_replays_to_the_reported_branch(u_spine, ring20_whole,
                                                  ring20_family, ring20_tie):
     cases = [
         classify_rectangle(2.5, 1.8),
         classify_rectangle(m_of_alpha(1.5) + 2.0, 1.5),
         classify_rectangle(30.0, 1.5),
-        classify_open_strip(u_spine, 1.5, segments=100),
+        classify_open_strip(u_spine, 1.5),
         ring20_whole,
         ring20_family,
         ring20_tie,

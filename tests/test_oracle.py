@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from alphacheeger import (
     NonUnimodalError,
+    UnconvergedSearchError,
     SolutionKind,
     build_cut_corner_rectangle,
     build_topped_substrip,
@@ -45,6 +46,16 @@ def test_golden_section_rejects_non_unimodal_input():
     with pytest.raises(NonUnimodalError) as err:
         golden_section_min(lambda x: math.sin(3.0 * x), 0.0, 2.0 * math.pi, 1e-8)
     assert err.value.x_rise < err.value.x_fall
+
+
+def test_golden_section_refuses_to_stop_unconverged():
+    # 200 golden steps shrink [0, 1e60] to about 1e18, far above tol
+    with pytest.raises(UnconvergedSearchError) as err:
+        golden_section_min(lambda x: (x - 1.0) ** 2, 0.0, 1e60, 1e-9)
+    message = str(err.value)
+    assert "1e-09" in message and "200 iterations" in message
+    assert err.value.lo == 0.0 and err.value.hi > 1e-9
+    assert isinstance(err.value, ValueError)
 
 
 def test_golden_section_argument_validation():

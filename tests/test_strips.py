@@ -22,6 +22,7 @@ from alphacheeger import (
     curve_from_source,
     cut_corner_area,
     cut_corner_perimeter,
+    cut_corner_strip_measures,
     densify,
     fit_topped_substrip,
     load_curve,
@@ -32,6 +33,7 @@ from alphacheeger import (
     stadium_area,
     stadium_perimeter,
 )
+from alphacheeger import strips
 from alphacheeger.oracle import _coarse_fit
 
 import reference_kernels as ref
@@ -282,3 +284,68 @@ def test_load_curve_rejects_inadmissible_spines(tmp_path):
     with pytest.raises(CurveValidationError) as err:
         load_curve(str(bad))
     assert any("curvature bound violated" in v for v in err.value.violations)
+
+
+S_SPINE = PathSpec((("arc", 4.0, 1.0), ("line", 7.5), ("arc", 4.0, -1.0)))
+
+
+def test_corner_crossing_matches_the_whole_offset_scan(u_spine, hook_spine):
+    # the crossing scans the samples within pi/2 + 2 ds of the end first; the
+    # cut-corner vertices must come out as with the whole-offset scan
+    curves = {"u": u_spine, "s": curve_from_source(S_SPINE), "hook": hook_spine}
+    for name, curve in curves.items():
+        for t in np.linspace(0.05, 1.0, 12):
+            for end in (0, 1):
+                for level in (-(1.0 - t), 1.0 - t):
+                    assert (strips._end_offset_crossing(curve, end, level, t)
+                            == ref.end_offset_crossing(curve, end, level, t)), (name, t)
+            shape = build_cut_corner_strip(curve, t, 64)
+            with pytest.MonkeyPatch.context() as mp_:
+                mp_.setattr(strips, "_end_offset_crossing", ref.end_offset_crossing)
+                expected = build_cut_corner_strip(curve, t, 64)
+            assert np.array_equal(shape.vertices, expected.vertices), (name, t)
+    # depths beyond pi/2 fall back to the whole offset (the U's line tails)
+    for end, depth in ((0, 2.0), (0, 5.0), (1, 3.0)):
+        assert (strips._end_offset_crossing(u_spine, end, 0.0, depth)
+                == ref.end_offset_crossing(u_spine, end, 0.0, depth))
+    with pytest.raises(ValueError, match="too short"):
+        strips._end_offset_crossing(u_spine, 0, 0.0, 8.0)
+
+
+@pytest.mark.parametrize("spec, radii", [
+    (SegmentSpec(16.0), (0.3, 0.5, 0.7, 0.9, 1.0)),
+    # the S spine with straight tails longer than any corner patch
+    (PathSpec((("line", 2.0), *S_SPINE.pieces, ("line", 2.0))), (0.3, 0.5, 0.7, 0.9, 1.0)),
+    # tails of 0.3: for t <= 0.3 the patches are straight, but the crossing
+    # sits next to the curvature jump where the arcs begin
+    (PathSpec((("line", 0.3), ("arc", 2.0, 1.5), ("line", 8.0), ("arc", 2.0, -1.5),
+               ("line", 0.3))), (0.25, 0.2999, 0.3)),
+], ids=["segment", "s_with_tails", "short_tails"])
+def test_corner_patches_match_the_closed_form_on_straight_ends(spec, radii):
+    curve = curve_from_source(spec)
+    measures = cut_corner_strip_measures(curve)
+    length = curve.length
+    for t in radii:
+        area, perim = measures(t)
+        assert (2.0 * length - area) == pytest.approx((4.0 - math.pi) * t * t, rel=1e-13)
+        assert (2.0 * length + 4.0 - perim) == pytest.approx((8.0 - 2.0 * math.pi) * t,
+                                                             rel=1e-13)
+
+
+@pytest.mark.parametrize("name", ["s", "hook"])
+def test_corner_patches_match_the_fine_polygon_on_curved_ends(name, hook_spine):
+    curve = {"s": curve_from_source(S_SPINE), "hook": hook_spine}[name]
+    measures = cut_corner_strip_measures(curve)
+    dense = densify(curve, 40000)
+    for t in (0.2, 0.5, 0.8):
+        area, perim = measure(build_cut_corner_strip(dense, t, 40000))
+        assert measures(t) == pytest.approx((area, perim), rel=1e-8)
+
+
+def test_corner_patches_refuse_what_the_builder_refuses(ring20):
+    with pytest.raises(ValueError, match="finite open spine"):
+        cut_corner_strip_measures(ring20)
+    measures = cut_corner_strip_measures(curve_from_source(S_SPINE))
+    for t in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="corner radius"):
+            measures(t)
