@@ -34,6 +34,7 @@ from .classifier import (
     classify_open_strip,
     classify_rectangle,
     h_alpha_rectangle,
+    spine_window,
 )
 from .curves import (
     ArcSpec,

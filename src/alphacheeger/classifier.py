@@ -215,12 +215,19 @@ def _topped_family_classification(a: float, m: float, fit: FitResult,
     if full_span is not None and bool(fit.feasible.all()):
         placements = (0.0, full_span)
     else:
-        widest = max(fit.intervals, key=lambda iv: iv[1] - iv[0])
-        placements = (widest[0], widest[1])
+        placements = fit.widest
     solution = CheegerSolution(kind=SolutionKind.TOPPED_SUBSTRIP, h_alpha=h,
                                area=area, perimeter=perim, unique=False,
                                stadium_length=m, placements=placements)
     return StripClassification(CaseTag.TOPPED_FAMILY, solution, evidence)
+
+
+def spine_window(curve: StripCurve, alpha) -> StripCurve:
+    """The spine an open strip is realized on: semi-infinite and infinite
+    spines ``retruncate`` to length max(4 * diameter_bound, 9 pi / 2), so no
+    candidate shape feels the cut; finite spines and annuli are the spine."""
+    return retruncate(curve, max(TRUNCATION_DIAMETER_FACTOR * diameter_bound(alpha),
+                                 MIN_SPINE_LENGTH))
 
 
 def classify_open_strip(curve: StripCurve, alpha) -> StripClassification:
@@ -229,8 +236,8 @@ def classify_open_strip(curve: StripCurve, alpha) -> StripClassification:
     Straight finite spines delegate to ``classify_rectangle`` (the strip is
     an isometric copy of the rectangle), straight doubly infinite spines
     delegate with the L = +inf sentinel.  Other semi-infinite and infinite
-    spines are realized on a window of length max(4 * diameter_bound,
-    9 pi / 2); the window is recorded in the evidence.  Finite spines
+    spines are realized on their ``spine_window``, whose length is recorded
+    in the evidence as ``truncation_target``.  Finite spines
     shorter than 9 pi / 2 are refused.
 
     The case split in the spine length L: below M + 2 the unique cut-corner
@@ -250,10 +257,8 @@ def classify_open_strip(curve: StripCurve, alpha) -> StripClassification:
 
     evidence: dict[str, object] = {"alpha": a, "spine_kappa_max": kappa_max}
     if curve.kind is not CurveKind.FINITE:
-        target = max(TRUNCATION_DIAMETER_FACTOR * diameter_bound(a), MIN_SPINE_LENGTH)
-        curve = retruncate(curve, target)
-        evidence["truncation_target"] = target
-        evidence["truncated_to"] = curve.length
+        curve = spine_window(curve, a)
+        evidence["truncation_target"] = curve.length
 
     length = curve.length
     if length < MIN_SPINE_LENGTH * (1.0 - 1e-12):

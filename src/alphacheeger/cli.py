@@ -12,12 +12,15 @@ above tolerance.  All numbers print with 12 significant digits and output is
 a pure function of the arguments and input files (plus the Monte Carlo seed
 where requested).  The polygonal resolution is --segments (at least 4,
 default DEFAULT_SEGMENTS); on strip it sets the oracle, Monte Carlo and SVG
-polygons only, since the strip classifiers build none.
+polygons only, since the strip classifiers build none.  On unbounded spines
+--verify, --mc-samples and --svg act on the classified window
+(classifier.spine_window), reported in the evidence as truncation_target.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 from .analytic import (CaseError, CheegerSolution, Rectangle, SolutionKind,
                        scale_constant)
 from .classifier import (StripClassification, classify_annulus,
-                         classify_open_strip, classify_rectangle)
-from .curves import CurveKind, CurveValidationError, StripCurve, load_curve, retruncate
+                         classify_open_strip, classify_rectangle, spine_window)
+from .curves import CurveKind, CurveValidationError, StripCurve, load_curve
 from .geometry import (DEFAULT_SEGMENTS, PolyShape, build_cut_corner_rectangle,
                        build_topped_substrip, scale_shape, translate_shape)
 from .oracle import (NonUnimodalError, monte_carlo_area, oracle_rectangle,
@@ -44,7 +47,6 @@ DEFAULT_VERIFY_RTOL = 1e-6
 
 # Fixed resolutions for rendering; figures do not need measurement accuracy.
 SVG_ARC_SEGMENTS = 256
-SVG_BOUNDARY_POINTS = 4096
 
 # Containment tests cost samples x edges, so Monte Carlo shapes are built at
 # a capped resolution; the polygon bias is far below the sampling noise.
@@ -206,6 +208,19 @@ def evidence_lines(cls: StripClassification) -> list[str]:
     return lines
 
 
+def _verify_lines(h: float, oracle_h: float, args,
+                 scale: float = 1.0) -> tuple[list[str], int]:
+    """The oracle block of rect and strip, in the user frame, and its exit code."""
+    gap_rel = abs(oracle_h / h - 1.0)
+    ok = gap_rel <= args.verify_tol
+    lines = [f"oracle_h: {_g(scale_constant(oracle_h, scale, args.alpha))}",
+             f"gap_abs: {_g(scale_constant(abs(oracle_h - h), scale, args.alpha))}",
+             f"gap_rel: {_g(gap_rel)}",
+             f"verify: {'PASS' if ok else 'FAIL'} "
+             f"(tolerance {_g(args.verify_tol)})"]
+    return lines, EXIT_OK if ok else EXIT_VERIFY
+
+
 def _representative_anchors(lo: float, hi: float) -> list[float]:
     anchors = [lo, 0.5 * (lo + hi), hi]
     out: list[float] = []
@@ -226,6 +241,15 @@ def _resolve_rectangle_args(args) -> tuple[float, float]:
     return args.length, 1.0
 
 
+def _rect_shape(length: float, sol: CheegerSolution, segments: int,
+                center: float = 0.0) -> PolyShape:
+    """The solution's shape; a capped substrip is centered at ``center``."""
+    if sol.kind is SolutionKind.CUT_CORNERS:
+        return build_cut_corner_rectangle(length, sol.radius, segments)
+    return translate_shape(build_topped_substrip(sol.stadium_length, segments),
+                           center, 0.0)
+
+
 def _rect_svg(path: str, length: float, scale: float,
               cls: StripClassification) -> None:
     if math.isinf(length):
@@ -233,13 +257,12 @@ def _rect_svg(path: str, length: float, scale: float,
                          "pass a finite length")
     sol = cls.solution
     if sol.kind is SolutionKind.CUT_CORNERS:
-        shape = build_cut_corner_rectangle(length, sol.radius, SVG_ARC_SEGMENTS)
-        solutions = [(shape, f"cut-corners-r-{_g(sol.radius)}")]
+        solutions = [(_rect_shape(length, sol, SVG_ARC_SEGMENTS),
+                      f"cut-corners-r-{_g(sol.radius)}")]
     else:
-        lo, hi = sol.placements
-        stadium = build_topped_substrip(sol.stadium_length, SVG_ARC_SEGMENTS)
-        solutions = [(translate_shape(stadium, c, 0.0), f"substrip-at-{_g(c)}")
-                     for c in _representative_anchors(lo, hi)]
+        solutions = [(_rect_shape(length, sol, SVG_ARC_SEGMENTS, c),
+                      f"substrip-at-{_g(c)}")
+                     for c in _representative_anchors(*sol.placements)]
     outline = rectangle_outline(length)
     if scale != 1.0:
         outline = outline * scale
@@ -274,12 +297,8 @@ def cmd_rect(args) -> int:
                          f"{_g(args.sides[1])}: {exc}") from None
 
     if args.mc_samples:
-        sol = cls.solution
-        mc_segments = min(args.segments, MC_MAX_SEGMENTS)
-        if sol.kind is SolutionKind.CUT_CORNERS:
-            shape = build_cut_corner_rectangle(length, sol.radius, mc_segments)
-        else:
-            shape = build_topped_substrip(sol.stadium_length, mc_segments)
+        shape = _rect_shape(length, cls.solution,
+                            min(args.segments, MC_MAX_SEGMENTS))
         lines += _mc_lines(shape, args.mc_samples, args.mc_seed, scale)
 
     code = EXIT_OK
@@ -288,17 +307,8 @@ def cmd_rect(args) -> int:
             raise ValueError("cannot verify the infinite rectangle against "
                              "the polygonal oracle; pass a finite length")
         oracle = oracle_rectangle(length, args.alpha, segments=args.segments)
-        gap_rel = abs(oracle.h_alpha / cls.solution.h_alpha - 1.0)
-        gap_abs = abs(oracle.h_alpha - cls.solution.h_alpha)
-        lines.append(f"oracle_h: "
-                     f"{_g(scale_constant(oracle.h_alpha, scale, args.alpha))}")
-        lines.append(f"gap_abs: {_g(scale_constant(gap_abs, scale, args.alpha))}")
-        lines.append(f"gap_rel: {_g(gap_rel)}")
-        ok = gap_rel <= args.verify_tol
-        lines.append(f"verify: {'PASS' if ok else 'FAIL'} "
-                     f"(tolerance {_g(args.verify_tol)})")
-        if not ok:
-            code = EXIT_VERIFY
+        gap, code = _verify_lines(cls.solution.h_alpha, oracle.h_alpha, args, scale)
+        lines += gap
 
     if args.svg:
         _rect_svg(args.svg, length, scale, cls)
@@ -325,13 +335,30 @@ def _strip_anchor_interval(cls: StripClassification,
     return lo, hi
 
 
-def _strip_svg(path: str, curve: StripCurve, cls: StripClassification) -> None:
-    domain = build_strip_polygon(curve, max_boundary_points=SVG_BOUNDARY_POINTS,
-                                 check=False)
-    loops = [domain.vertices, *domain.holes]
-    solutions: list[tuple[PolyShape, str]] = []
+def _strip_shape(curve: StripCurve, cls: StripClassification, segments: int,
+                 s0: float | None = None) -> PolyShape:
+    """The solution's shape on the spine window; a capped substrip starts at
+    anchor ``s0``, by default the middle of its placement interval."""
+    sol = cls.solution
+    if sol.kind is SolutionKind.CUT_CORNERS:
+        return build_cut_corner_strip(curve, sol.radius, segments)
+    if sol.kind is SolutionKind.TOPPED_SUBSTRIP:
+        if s0 is None:
+            lo, hi = _strip_anchor_interval(cls, curve)
+            s0 = 0.5 * (lo + hi)
+        return build_topped_substrip_on_curve(curve, s0, sol.stadium_length,
+                                              segments)
+    return build_strip_polygon(curve, check=False)
 
-    def add_substrips() -> None:
+
+def _strip_svg(path: str, curve: StripCurve, cls: StripClassification) -> None:
+    domain = build_strip_polygon(curve, check=False)
+    loops = [domain.vertices, *domain.holes]
+    sol = cls.solution
+    if sol.kind is SolutionKind.CUT_CORNERS:
+        solutions = [(_strip_shape(curve, cls, SVG_ARC_SEGMENTS),
+                      f"cut-corners-r-{_g(sol.radius)}")]
+    elif sol.kind is SolutionKind.TOPPED_SUBSTRIP:
         lo, hi = _strip_anchor_interval(cls, curve)
         if (curve.kind is CurveKind.ANNULUS
                 and hi - lo >= curve.length * (1.0 - 1e-12)):
@@ -339,20 +366,10 @@ def _strip_svg(path: str, curve: StripCurve, cls: StripClassification) -> None:
             anchors = [lo + (hi - lo) * f for f in (0.0, 1.0 / 3.0, 2.0 / 3.0)]
         else:
             anchors = _representative_anchors(lo, hi)
-        for s0 in anchors:
-            shape = build_topped_substrip_on_curve(curve, s0,
-                                                   cls.solution.stadium_length,
-                                                   SVG_ARC_SEGMENTS)
-            solutions.append((shape, f"substrip-at-{_g(s0)}"))
-
-    sol = cls.solution
-    if sol.kind is SolutionKind.CUT_CORNERS:
-        shape = build_cut_corner_strip(curve, sol.radius, SVG_ARC_SEGMENTS)
-        solutions.append((shape, f"cut-corners-r-{_g(sol.radius)}"))
-    elif sol.kind is SolutionKind.TOPPED_SUBSTRIP:
-        add_substrips()
+        solutions = [(_strip_shape(curve, cls, SVG_ARC_SEGMENTS, s0),
+                      f"substrip-at-{_g(s0)}") for s0 in anchors]
     else:
-        solutions.append((domain, "whole-domain"))
+        solutions = [(domain, "whole-domain")]
     if cls.alternate is not None and cls.alternate.kind is SolutionKind.WHOLE_DOMAIN:
         solutions.append((domain, "whole-domain-tie"))
 
@@ -373,47 +390,27 @@ def cmd_strip(args) -> int:
     lines += classification_lines(cls, args.alpha)
     lines += evidence_lines(cls)
 
+    # Monte Carlo, oracle and figure act on the window that was classified; the
+    # report alone needs none (a straight infinite spine is classified exactly)
+    if args.mc_samples or args.verify or args.svg:
+        curve = spine_window(curve, args.alpha)
+
     if args.mc_samples:
-        svg_curve = _drawable_curve(curve, cls)
-        mc_segments = min(args.segments, MC_MAX_SEGMENTS)
-        sol = cls.solution
-        if sol.kind is SolutionKind.TOPPED_SUBSTRIP:
-            lo, hi = _strip_anchor_interval(cls, svg_curve)
-            shape = build_topped_substrip_on_curve(svg_curve, 0.5 * (lo + hi),
-                                                   sol.stadium_length, mc_segments)
-        elif sol.kind is SolutionKind.CUT_CORNERS:
-            shape = build_cut_corner_strip(svg_curve, sol.radius, mc_segments)
-        else:
-            shape = build_strip_polygon(svg_curve, check=False)
+        shape = _strip_shape(curve, cls, min(args.segments, MC_MAX_SEGMENTS))
         lines += _mc_lines(shape, args.mc_samples, args.mc_seed, 1.0)
 
     code = EXIT_OK
     if args.verify:
         oracle = oracle_strip(curve, args.alpha, segments=args.segments)
-        gap_rel = abs(oracle.h_alpha / cls.solution.h_alpha - 1.0)
-        lines.append(f"oracle_h: {_g(oracle.h_alpha)}")
-        lines.append(f"gap_abs: {_g(abs(oracle.h_alpha - cls.solution.h_alpha))}")
-        lines.append(f"gap_rel: {_g(gap_rel)}")
-        ok = gap_rel <= args.verify_tol
-        lines.append(f"verify: {'PASS' if ok else 'FAIL'} "
-                     f"(tolerance {_g(args.verify_tol)})")
-        if not ok:
-            code = EXIT_VERIFY
+        gap, code = _verify_lines(cls.solution.h_alpha, oracle.h_alpha, args)
+        lines += gap
 
     if args.svg:
-        _strip_svg(args.svg, _drawable_curve(curve, cls), cls)
+        _strip_svg(args.svg, curve, cls)
         lines.append(f"svg: wrote {args.svg}")
 
     print("\n".join(lines))
     return code
-
-
-def _drawable_curve(curve: StripCurve, cls: StripClassification) -> StripCurve:
-    """The spine window the classification actually used."""
-    realized = cls.evidence.get("truncated_to")
-    if realized is not None:
-        curve = retruncate(curve, float(realized))
-    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +446,11 @@ def cmd_sweep(args) -> int:
     rows, worst_gap = _sweep_rows(spec, args.segments)
 
     if args.csv:
-        if args.csv == "-":
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(rows)
-        else:
-            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(CSV_COLUMNS)
-                writer.writerows(rows)
+        to_file = args.csv != "-"
+        with (open(args.csv, "w", newline="", encoding="utf-8") if to_file
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            csv.writer(fh, lineterminator="\n").writerows([CSV_COLUMNS, *rows])
+        if to_file:
             print(f"csv: wrote {len(rows)} rows to {args.csv}")
     else:
         widths = [max(len(CSV_COLUMNS[i]), max(len(r[i]) for r in rows))

@@ -184,14 +184,9 @@ def oracle_rectangle(length: float, alpha,
 
 
 def _canonical_anchor(fit) -> float:
-    """Middle of the widest feasible run, or the single best candidate."""
-    best = None
-    for lo, hi in fit.intervals:
-        if best is None or (hi - lo) > (best[1] - best[0]):
-            best = (lo, hi)
-    if best is None:
-        raise ValueError("no feasible placement")
-    return 0.5 * (best[0] + best[1])
+    """Middle of the widest feasible run."""
+    lo, hi = fit.widest
+    return 0.5 * (lo + hi)
 
 
 def _coarse_fit(curve: StripCurve, m: float):

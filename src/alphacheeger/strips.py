@@ -66,27 +66,17 @@ def _unique_offset(curve: StripCurve, level: float) -> np.ndarray:
     return pts[:-1] if curve.kind is CurveKind.ANNULUS else pts
 
 
-def build_strip_polygon(curve: StripCurve,
-                        max_boundary_points: int | None = None,
-                        check: bool = True) -> PolyShape:
+def build_strip_polygon(curve: StripCurve, check: bool = True) -> PolyShape:
     """Polygon bounded by the offsets at t = +-1 (plus end segments if open).
 
     For an annulus spine the result has one hole (outer and inner offset
-    loops).  ``max_boundary_points`` caps the vertex count per offset side by
-    striding the curve's samples; endpoints of open spines are always kept.
-    With ``check`` (default) the offset polylines are tested for injectivity
-    of the offset map and the build is rejected naming the first crossing
-    segment pair; pass check=False for curves that already passed validate().
+    loops).  With ``check`` (default) the offset polylines are tested for
+    injectivity of the offset map and the build is rejected naming the first
+    crossing segment pair; pass check=False for curves that already passed
+    validate().
     """
     lo = _unique_offset(curve, -1.0)
     hi = _unique_offset(curve, +1.0)
-    n = len(lo)
-    if max_boundary_points is not None and n > max_boundary_points:
-        stride = int(math.ceil(n / max_boundary_points))
-        idx = np.arange(0, n, stride)
-        if curve.kind is not CurveKind.ANNULUS and idx[-1] != n - 1:
-            idx = np.append(idx, n - 1)
-        lo, hi = lo[idx], hi[idx]
     if check:
         for which, pair in offset_crossings(lo, hi, curve.kind is CurveKind.ANNULUS):
             if which == "between":
@@ -399,6 +389,14 @@ class FitResult:
         if run_start is not None:
             out.append((float(run_start), float(prev)))
         return out
+
+    @property
+    def widest(self) -> tuple[float, float]:
+        """The first of the widest feasible runs; ValueError if none."""
+        runs = self.intervals
+        if not runs:
+            raise ValueError("no feasible placement")
+        return max(runs, key=lambda iv: iv[1] - iv[0])
 
 
 def _caps_collide(c_a: np.ndarray, u_a: np.ndarray, c_b: np.ndarray,

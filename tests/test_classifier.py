@@ -23,6 +23,7 @@ from alphacheeger import (
     h_alpha_strip_limit,
     m_of_alpha,
     oracle_strip,
+    spine_window,
 )
 
 # Frozen from classify_rectangle at the listed cells; the radius and ratio
@@ -181,12 +182,23 @@ def test_semi_infinite_spine_truncates_to_safe_window():
     assert first == second
     target = max(4.0 * diameter_bound(alpha), 4.5 * math.pi)
     assert first.evidence["truncation_target"] == pytest.approx(target, rel=1e-15)
-    assert first.evidence["truncated_to"] == pytest.approx(target, rel=1e-12)
     assert first.evidence["case"] == "ii"
     assert first.case_tag is CaseTag.TOPPED_FAMILY
     assert first.solution.h_alpha == pytest.approx(h_alpha_strip_limit(alpha), rel=1e-12)
     lo, hi = first.solution.placements
-    assert 0.0 < lo < hi < first.evidence["truncated_to"]
+    assert 0.0 < lo < hi < first.evidence["truncation_target"]
+
+
+def test_spine_window_is_the_window_classified(u_spine):
+    assert spine_window(u_spine, 1.5) is u_spine
+    ring = curve_from_source(CircleSpec(5.0))
+    assert spine_window(ring, 1.5) is ring
+    bent = curve_from_source(PathSpec((("line", 30.0), ("arc", 3.0, 1.5), ("line", 60.0)),
+                                      kind=CurveKind.SEMI_INFINITE))
+    window = spine_window(bent, 1.5)
+    assert window.kind is CurveKind.SEMI_INFINITE
+    assert window.length < bent.length
+    assert window.length == classify_open_strip(bent, 1.5).evidence["truncation_target"]
 
 
 def test_curved_long_spine_family_matches_frozen_fit(u_spine):

@@ -405,6 +405,32 @@ def test_strip_refuses_an_unbounded_spine_shorter_than_its_window(run, curve_fil
                    f"its truncation window {target}\n")
 
 
+def test_infinite_straight_strip_checks_its_window(run, curve_file, tmp_path):
+    # M(1.02) = 76.97 does not fit on the 64-long provisional segment, only on
+    # the window the strip is classified on
+    path = curve_file("line.json", {"primitive": "segment", "kind": "infinite"})
+    svg = tmp_path / "line.svg"
+    code, out, err = run("strip", path, "--alpha", "1.02", "--verify",
+                         "--mc-samples", "4000", "--svg", svg)
+    assert (code, err) == (0, "")
+    assert "verify: PASS (tolerance 1e-06)" in out.splitlines()
+    assert svg.exists()
+
+
+def test_strip_verifies_the_classified_window(run, curve_file, monkeypatch):
+    seen = []
+    original = cli.oracle_strip
+    monkeypatch.setattr(cli, "oracle_strip",
+                        lambda curve, *a, **k: seen.append(curve) or original(curve, *a, **k))
+    path = curve_file("bent.json", {"primitive": "path", "kind": "semi_infinite", "pieces": [
+        ["line", 30.0], ["arc", 3.0, 1.5], ["line", 60.0]]})
+    code, out, _ = run("strip", path, "--alpha", "1.5", "--verify")
+    assert code == 0
+    target = next(ln for ln in out.splitlines() if ln.startswith("  truncation_target:"))
+    assert [g12(c.length) for c in seen] == [target.split(": ")[1]]
+    assert seen[0].length < 94.5
+
+
 @pytest.mark.parametrize("radius", [5e7, 1e8])
 def test_large_circle_is_closed_and_verifies(run, curve_file, radius):
     # the closure gap of its samples is rounding that grows with the length
