@@ -576,16 +576,18 @@ def load_curve(path: str) -> StripCurve:
 def retruncate(curve: StripCurve, target_length: float) -> StripCurve:
     """Realize a semi-infinite/infinite spine on a window of the given length.
 
-    A straight segment is rebuilt at the target length; any other source is
-    windowed (from s=0 for semi-infinite, centered for infinite) and a spine
-    shorter than the target is refused with ValueError.  Finite and annulus
-    spines are returned untouched.
+    A straight source (a segment, or a path of line pieces only) is rebuilt
+    as a segment of the target length; any other source is windowed (from
+    s=0 for semi-infinite, centered for infinite) and a spine shorter than
+    the target is refused with ValueError.  Finite and annulus spines are
+    returned untouched.
     """
     if curve.kind not in (CurveKind.SEMI_INFINITE, CurveKind.INFINITE):
         return curve
-    if isinstance(curve.source, SegmentSpec):
-        src = SegmentSpec(length=target_length, kind=curve.kind)
-        return curve_from_source(src)
+    src = curve.source
+    if isinstance(src, SegmentSpec) or (
+            isinstance(src, PathSpec) and all(p[0] == "line" for p in src.pieces)):
+        return curve_from_source(SegmentSpec(length=target_length, kind=curve.kind))
     if target_length > curve.length:
         raise ValueError(f"{curve.kind.value} spine of length {curve.length:.6f} is "
                          f"shorter than its truncation window {target_length:.6f}")

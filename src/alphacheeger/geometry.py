@@ -6,7 +6,12 @@ the arc (inscribed polygons), so areas and perimeters converge to the smooth
 values at rate O(1/segments^2), which the test suite measures explicitly.
 Unit-arc templates are cached per (angles, segments), so a builder only
 scales and shifts them into one preallocated vertex array; the vertices are
-bit for bit those of evaluating the arcs directly.
+bit for bit those of evaluating the arcs directly.  Coincident vertices
+(closer than 1e-14) can sit only where two arcs join or where the loop
+closes, so the builders test just those pairs; when the spacing within an
+arc comes near the tolerance they fall back to the full scan, and either
+way they keep the same vertices.  ``measure`` closes each loop once and
+takes both the shoelace area and the edge lengths from that one copy.
 
 Coordinates are plain float64 numpy arrays of shape (n, 2).  A ``PolyShape``
 is a simple closed CCW loop, optionally with holes (for annuli); no exact or
@@ -47,22 +52,33 @@ __all__ = [
 DEFAULT_SEGMENTS = 10_000
 
 
-def signed_area(vertices: np.ndarray) -> float:
-    """Shoelace signed area of a closed loop (positive = CCW)."""
-    v = np.asarray(vertices, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-        raise ValueError(f"need at least 3 planar vertices, got shape {v.shape}")
-    w = np.concatenate((v, v[:1]))  # w[i] -> w[i+1] walks every edge
-    x, y = w[:, 0], w[:, 1]
+def _shoelace(w: np.ndarray) -> float:
+    """Signed area of the loop whose closed copy (first vertex appended) is w."""
+    x, y = w[:, 0], w[:, 1]  # w[i] -> w[i+1] walks every edge
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
-def loop_length(vertices: np.ndarray) -> float:
-    """Total edge length of a closed loop."""
+def _planar_loop(vertices, what: str) -> np.ndarray:
     v = np.asarray(vertices, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
+        raise ValueError(f"{what} needs >= 3 planar vertices, got {v.shape}")
+    return v
+
+
+def signed_area(vertices: np.ndarray) -> float:
+    """Shoelace signed area of a closed loop (positive = CCW)."""
+    v = _planar_loop(vertices, "loop")
+    return _shoelace(np.concatenate((v, v[:1])))
+
+
+def _closing_pass(v: np.ndarray) -> tuple[float, float]:
+    """(signed area, total edge length) of the closed loop v, both taken
+    from one closed copy of it."""
     w = np.concatenate((v, v[:1]))
+    area = _shoelace(w)
     d = w[1:] - w[:-1]
-    return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
+    del w  # before the lengths: at most two loop copies live besides the loop
+    return area, float(np.sum(np.hypot(d[:, 0], d[:, 1])))
 
 
 @dataclass(frozen=True)
@@ -73,12 +89,9 @@ class PolyShape:
     holes: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise ValueError(f"outer loop needs >= 3 planar vertices, got {v.shape}")
-        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "vertices", _planar_loop(self.vertices, "outer loop"))
         object.__setattr__(self, "holes",
-                           tuple(np.asarray(h, dtype=float) for h in self.holes))
+                           tuple(_planar_loop(h, "hole") for h in self.holes))
 
     def bounds(self) -> tuple[float, float, float, float]:
         v = self.vertices
@@ -87,14 +100,18 @@ class PolyShape:
 
 
 def measure(shape: PolyShape) -> tuple[float, float]:
-    """(area, perimeter) of a PolyShape; hole areas subtract, hole lengths add."""
-    area = signed_area(shape.vertices)
+    """(area, perimeter) of a PolyShape; hole areas subtract, hole lengths add.
+
+    Each loop is closed once (its first vertex appended) and that one copy
+    gives both its shoelace area and its edge lengths.
+    """
+    area, perim = _closing_pass(shape.vertices)
     if area <= 0.0:
         raise ValueError(f"outer loop must be CCW with positive area, got {area}")
-    perim = loop_length(shape.vertices)
     for hole in shape.holes:
-        area -= abs(signed_area(hole))
-        perim += loop_length(hole)
+        hole_area, hole_perim = _closing_pass(hole)
+        area -= abs(hole_area)
+        perim += hole_perim
     if area <= 0.0:
         raise ValueError(f"holes exhaust the outer loop (area {area})")
     return area, perim
@@ -121,15 +138,6 @@ def _unit_arc(a0: float, a1: float, segments: int) -> np.ndarray:
     return arc
 
 
-def _put_arc(out: np.ndarray, center: tuple[float, float], radius: float,
-             a0: float, a1: float) -> None:
-    """Write the arc of ``radius`` around ``center`` into out's rows,
-    one vertex per row (len(out) - 1 segments)."""
-    np.multiply(_unit_arc(a0, a1, len(out) - 1), radius, out=out)
-    out[:, 0] += center[0]  # per column: a length-2 broadcast row is slow
-    out[:, 1] += center[1]
-
-
 def _dedupe(points: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     """Drop consecutive duplicates (and a duplicated closing vertex); the
     input itself comes back when nothing is dropped."""
@@ -139,6 +147,44 @@ def _dedupe(points: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     if len(points) > 1 and np.hypot(*(points[0] - points[-1])) <= tol:
         points = points[:-1]
     return points
+
+
+def _arc_loop(radius: float, arcs: tuple[tuple[float, float, float, float], ...],
+              segments: int, scale: float, tol: float = 1e-14) -> PolyShape:
+    """Closed loop of arcs (center x, center y, a0, a1) of one radius and one
+    sweep laid end to end, ``segments`` edges each and no coordinate larger
+    than ``scale`` in magnitude, deduplicated as ``_dedupe`` would.
+
+    The cached templates are copied into one array, scaled, and shifted by
+    their centers.  Within an arc consecutive vertices are a chord 2 r
+    sin(sweep / 2 segments) apart; while that chord clears tol by 64 ulps of
+    scale, no rounding of the vertices brings a within-arc pair down to tol,
+    so only the first vertex of each arc can duplicate its predecessor (for
+    the first arc that is the last vertex, closing the loop, which _dedupe
+    drops instead).  These pairs get _dedupe's arithmetic and so its
+    answer.  Below that margin the full scan runs.
+    """
+    n = int(segments) + 1
+    points = np.empty((len(arcs) * n, 2))
+    np.concatenate([_unit_arc(a0, a1, n - 1) for _, _, a0, a1 in arcs], out=points)
+    points *= radius
+    # one row (x, y) read as the complex x + iy: a complex add is the two
+    # float adds x + cx and y + cy, in one contiguous pass (a length-2
+    # broadcast row, or one strided column at a time, is slow)
+    blocks = points.view(np.complex128).reshape(len(arcs), n)
+    blocks += np.array([complex(x, y) for x, y, _, _ in arcs])[:, None]
+    _, _, a0, a1 = arcs[0]
+    chord = 2.0 * radius * math.sin(abs(a1 - a0) / (2 * (n - 1)))
+    if not chord > tol + 64.0 * math.ulp(scale):
+        return PolyShape(_dedupe(points, tol))
+    starts = np.arange(0, len(points), n)
+    d = points[starts] - points[starts - 1]
+    dup = ~(np.hypot(d[:, 0], d[:, 1]) > tol)
+    if dup.any():
+        drop = starts[dup]
+        drop[drop == 0] = len(points) - 1
+        points = np.delete(points, drop, axis=0)
+    return PolyShape(points)
 
 
 def build_cut_corner_rectangle(length: float, t: float,
@@ -154,13 +200,10 @@ def build_cut_corner_rectangle(length: float, t: float,
     if segments < 4:
         raise ValueError(f"need >= 4 segments per arc, got {segments}")
     cx, cy = length / 2.0 - t, 1.0 - t
-    centers = ((cx, -cy), (cx, cy), (-cx, cy), (-cx, -cy))
-    starts = (-0.5 * math.pi, 0.0, 0.5 * math.pi, math.pi)
-    n = int(segments) + 1
-    verts = np.empty((4 * n, 2))
-    for k, (center, a0) in enumerate(zip(centers, starts)):
-        _put_arc(verts[k * n:(k + 1) * n], center, t, a0, a0 + 0.5 * math.pi)
-    return PolyShape(_dedupe(verts))
+    quarter = 0.5 * math.pi
+    arcs = ((cx, -cy, -quarter, 0.0), (cx, cy, 0.0, quarter),
+            (-cx, cy, quarter, math.pi), (-cx, -cy, math.pi, math.pi + quarter))
+    return _arc_loop(t, arcs, segments, max(length / 2.0, 1.0))
 
 
 def build_topped_substrip(m: float, segments: int = DEFAULT_SEGMENTS) -> PolyShape:
@@ -173,11 +216,9 @@ def build_topped_substrip(m: float, segments: int = DEFAULT_SEGMENTS) -> PolySha
         raise ValueError(f"substrip length must be >= 0, got {m}")
     if segments < 4:
         raise ValueError(f"need >= 4 segments per arc, got {segments}")
-    n = int(segments) + 1
-    verts = np.empty((2 * n, 2))
-    _put_arc(verts[:n], (m / 2.0, 0.0), 1.0, -0.5 * math.pi, 0.5 * math.pi)
-    _put_arc(verts[n:], (-m / 2.0, 0.0), 1.0, 0.5 * math.pi, 1.5 * math.pi)
-    return PolyShape(_dedupe(verts))
+    arcs = ((m / 2.0, 0.0, -0.5 * math.pi, 0.5 * math.pi),
+            (-m / 2.0, 0.0, 0.5 * math.pi, 1.5 * math.pi))
+    return _arc_loop(1.0, arcs, segments, m / 2.0 + 1.0)
 
 
 # ---------------------------------------------------------------------------

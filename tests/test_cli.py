@@ -417,6 +417,16 @@ def test_infinite_straight_strip_checks_its_window(run, curve_file, tmp_path):
     assert svg.exists()
 
 
+def test_infinite_straight_path_is_stretched_to_its_window(run, curve_file):
+    # a path of line pieces is straight: like a segment it is rebuilt on the
+    # 42.41-long window instead of being refused as too short for it
+    path = curve_file("line20.json", {"primitive": "path", "kind": "infinite",
+                                      "pieces": [["line", 20.0]]})
+    code, out, err = run("strip", path, "--alpha", "1.5", "--verify")
+    assert (code, err) == (0, "")
+    assert "verify: PASS (tolerance 1e-06)" in out.splitlines()
+
+
 def test_strip_verifies_the_classified_window(run, curve_file, monkeypatch):
     seen = []
     original = cli.oracle_strip

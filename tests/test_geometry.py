@@ -21,6 +21,7 @@ from alphacheeger import (
     translate_shape,
 )
 from alphacheeger import CircleSpec, PathSpec, curve_from_source
+from alphacheeger import geometry
 from alphacheeger.geometry import _unit_arc, first_segment_intersection
 
 import reference_kernels as ref
@@ -114,16 +115,27 @@ def _direct_dedupe(points, tol=1e-14):
     return pts
 
 
+def _direct_cut_corner(length, t, segments):
+    cx, cy = length / 2.0 - t, 1.0 - t
+    return _direct_dedupe(np.vstack([
+        _direct_arc((x, y), t, a0, a0 + 0.5 * math.pi, segments)
+        for (x, y), a0 in zip(((cx, -cy), (cx, cy), (-cx, cy), (-cx, -cy)),
+                              (-0.5 * math.pi, 0.0, 0.5 * math.pi, math.pi))]))
+
+
+def _direct_stadium(m, segments):
+    return _direct_dedupe(np.vstack([
+        _direct_arc((m / 2.0, 0.0), 1.0, -0.5 * math.pi, 0.5 * math.pi, segments),
+        _direct_arc((-m / 2.0, 0.0), 1.0, 0.5 * math.pi, 1.5 * math.pi, segments),
+    ]))
+
+
 @pytest.mark.parametrize("length,t,segments", [
     (2.0, 1.0, 16), (2.0, 0.3, 64), (3.0, 1.0, 100), (5.0, 0.7, 1000),
     (50.0, 1e-9, 257), (2.5, 0.999, 4),
 ])
 def test_cut_corner_builder_is_the_direct_formula_bit_for_bit(length, t, segments):
-    cx, cy = length / 2.0 - t, 1.0 - t
-    arcs = [_direct_arc((x, y), t, a0, a0 + 0.5 * math.pi, segments)
-            for (x, y), a0 in zip(((cx, -cy), (cx, cy), (-cx, cy), (-cx, -cy)),
-                                  (-0.5 * math.pi, 0.0, 0.5 * math.pi, math.pi))]
-    expected = _direct_dedupe(np.vstack(arcs))
+    expected = _direct_cut_corner(length, t, segments)
     got = build_cut_corner_rectangle(length, t, segments).vertices
     assert np.array_equal(got, expected)
     # coincident arc ends (an edge of length 2 - 2t or L - 2t vanishes) drop
@@ -134,13 +146,35 @@ def test_cut_corner_builder_is_the_direct_formula_bit_for_bit(length, t, segment
 @pytest.mark.parametrize("m,segments", [(0.0, 8), (0.0, 1000), (1e-12, 64),
                                         (3.0, 1000), (47.3, 333)])
 def test_stadium_builder_is_the_direct_formula_bit_for_bit(m, segments):
-    expected = _direct_dedupe(np.vstack([
-        _direct_arc((m / 2.0, 0.0), 1.0, -0.5 * math.pi, 0.5 * math.pi, segments),
-        _direct_arc((-m / 2.0, 0.0), 1.0, 0.5 * math.pi, 1.5 * math.pi, segments),
-    ]))
+    expected = _direct_stadium(m, segments)
     got = build_topped_substrip(m, segments).vertices
     assert np.array_equal(got, expected)
     assert (len(got) < 2 * (segments + 1)) == (m == 0.0)
+
+
+@pytest.mark.parametrize("builder,direct,args,full_scan,dropped", [
+    # within-arc chord 1.6e-15, below the 1e-14 tolerance: full scan
+    (build_cut_corner_rectangle, _direct_cut_corner, (2.0, 1e-12, 1000), True, True),
+    # chord 1.6e-12 against 64 ulps of 5e5: full scan, and at that
+    # magnitude some within-arc vertices round together
+    (build_cut_corner_rectangle, _direct_cut_corner, (1e6, 1e-9, 1000), True, True),
+    # four arcs around one center: every join and the closing pair drop
+    (build_cut_corner_rectangle, _direct_cut_corner, (2.0, 1.0, 4), False, True),
+    # the join of the two caps is 5e-15 long, below tolerance, then 1e-13
+    (build_topped_substrip, _direct_stadium, (5e-15, 1000), False, True),
+    (build_topped_substrip, _direct_stadium, (1e-13, 1000), False, False),
+])
+def test_join_only_dedupe_is_the_full_scan_bit_for_bit(monkeypatch, builder, direct,
+                                                       args, full_scan, dropped):
+    scans = []
+    full = geometry._dedupe
+    monkeypatch.setattr(geometry, "_dedupe",
+                        lambda *scan: scans.append(scan) or full(*scan))
+    got = builder(*args).vertices
+    assert (len(scans) == 1) == full_scan
+    assert np.array_equal(got, direct(*args))
+    arcs = 4 if builder is build_cut_corner_rectangle else 2
+    assert (len(got) < arcs * (args[-1] + 1)) == dropped
 
 
 def _rolled_shoelace(loop):
@@ -291,3 +325,5 @@ def test_polyshape_requires_planar_loop():
         PolyShape(np.array([[0.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         PolyShape(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="hole needs >= 3 planar vertices"):
+        PolyShape(SQUARE.vertices, holes=(np.array([[0.5, 0.5], [1.5, 0.5]]),))

@@ -27,6 +27,7 @@ from alphacheeger import (
     stadium_area,
     stadium_perimeter,
 )
+from alphacheeger import geometry
 from alphacheeger.oracle import MAX_ORACLE_LENGTH
 from reference_kernels import min_cut_corner_ratio, min_stadium_ratio, regular_polygon
 
@@ -127,6 +128,18 @@ def test_oracle_rectangle_long_cell(segments, oracle_rtol):
     assert sol.stadium_length == pytest.approx(m_of_alpha(1.5),
                                                abs=0.3 * math.sqrt(oracle_rtol))
     assert sol.h_alpha == pytest.approx(h_alpha_strip_limit(1.5), rel=oracle_rtol)
+
+
+@pytest.mark.parametrize("length", [2.0, 5.0, 50.0])
+def test_oracle_rectangle_builds_without_the_full_dedupe_scan(monkeypatch, length):
+    # the rectangle builders test only their arc joins; the O(n) scan is the
+    # fallback for sub-tolerance arc spacing, which the search never reaches
+    scans = []
+    full_scan = geometry._dedupe
+    monkeypatch.setattr(geometry, "_dedupe",
+                        lambda *args: scans.append(args) or full_scan(*args))
+    oracle_rectangle(length, 1.5)
+    assert scans == []
 
 
 def test_oracle_families_tie_at_the_case_boundary(segments, oracle_rtol):
