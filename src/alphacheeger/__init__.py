@@ -33,7 +33,6 @@ from .classifier import (
     classify_annulus,
     classify_open_strip,
     classify_rectangle,
-    h_alpha_rectangle,
     spine_window,
 )
 from .curves import (
@@ -59,8 +58,10 @@ from .geometry import (
     build_cut_corner_rectangle,
     build_topped_substrip,
     contains_points,
+    cut_corner_rectangle_measures,
     measure,
     scale_shape,
+    topped_substrip_measures,
     translate_shape,
 )
 from .oracle import (

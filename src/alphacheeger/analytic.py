@@ -10,7 +10,7 @@ handled elsewhere in this package) the minimizers have an explicit structure,
 and everything in this module is a direct closed-form evaluation: no meshes,
 no optimization.  The numerical cross-checks live in ``alphacheeger.oracle``.
 The rectangle's three-way case split at L = M(alpha) + 2 is made once, by
-``classifier.classify_rectangle``, which also serves ``h_alpha_rectangle``.
+``classifier.classify_rectangle``.
 
 All rectangles are normalized to R_L = (-L/2, L/2) x (-1, 1) with L >= 2;
 ``Rectangle.from_sides`` maps an arbitrary a x b box onto that normal form.

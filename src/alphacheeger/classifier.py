@@ -159,16 +159,6 @@ def classify_rectangle(length: float, alpha) -> StripClassification:
     return StripClassification(CaseTag.TOPPED_FAMILY, solution, evidence)
 
 
-def h_alpha_rectangle(length: float, alpha) -> float:
-    """Generalized Cheeger constant of R_L = (-L/2, L/2) x (-1, 1).
-
-    The ratio of ``classify_rectangle``'s solution: continuous across the
-    case boundary L = M(alpha) + 2, equal to the strip value
-    h_alpha_strip_limit(alpha) for every longer L including +inf.
-    """
-    return classify_rectangle(length, alpha).solution.h_alpha
-
-
 def _cut_corner_strip_classification(curve: StripCurve, a: float,
                                      evidence: dict[str, object]) -> StripClassification:
     """Unique cut-corner solution on a curved spine, radius by golden section.

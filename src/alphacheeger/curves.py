@@ -55,6 +55,10 @@ CLOSURE_ULPS = 4.0
 # it the product of three sample chords (discrete curvature) can overflow.
 # Spine lengths below the reciprocal would sample at a step that underflows.
 MAX_SPINE_SCALE = 1e100
+# A sample list whose samples all lie within this fraction of its length of
+# the chord from its first sample to its last is straight: an unbounded one
+# is rebuilt as a segment of its window's length, as a segment would be.
+STRAIGHT_RTOL = 1e-12
 
 
 class CurveKind(str, Enum):
@@ -573,20 +577,34 @@ def load_curve(path: str) -> StripCurve:
     return curve
 
 
+def _on_chord(points: np.ndarray, length: float) -> bool:
+    """Whether every point lies within STRAIGHT_RTOL * length of the chord
+    from the first point to the last."""
+    a, ab = points[0], points[-1] - points[0]
+    ab2 = float(ab @ ab)
+    if not ab2 > 0.0:
+        return False
+    t = np.clip((points - a) @ ab / ab2, 0.0, 1.0)
+    off = points - a - t[:, None] * ab
+    return bool((np.hypot(off[:, 0], off[:, 1]) <= STRAIGHT_RTOL * length).all())
+
+
 def retruncate(curve: StripCurve, target_length: float) -> StripCurve:
     """Realize a semi-infinite/infinite spine on a window of the given length.
 
-    A straight source (a segment, or a path of line pieces only) is rebuilt
-    as a segment of the target length; any other source is windowed (from
-    s=0 for semi-infinite, centered for infinite) and a spine shorter than
-    the target is refused with ValueError.  Finite and annulus spines are
+    A straight source (a segment, a path of line pieces only, or a sample
+    list within STRAIGHT_RTOL of its chord) is rebuilt as a segment of the
+    target length; any other source is windowed (from s=0 for
+    semi-infinite, centered for infinite) and a spine shorter than the
+    target is refused with ValueError.  Finite and annulus spines are
     returned untouched.
     """
     if curve.kind not in (CurveKind.SEMI_INFINITE, CurveKind.INFINITE):
         return curve
     src = curve.source
     if isinstance(src, SegmentSpec) or (
-            isinstance(src, PathSpec) and all(p[0] == "line" for p in src.pieces)):
+            isinstance(src, PathSpec) and all(p[0] == "line" for p in src.pieces)) or (
+            isinstance(src, SampledSpec) and _on_chord(src._p, curve.length)):
         return curve_from_source(SegmentSpec(length=target_length, kind=curve.kind))
     if target_length > curve.length:
         raise ValueError(f"{curve.kind.value} spine of length {curve.length:.6f} is "

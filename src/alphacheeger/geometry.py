@@ -13,6 +13,14 @@ arc comes near the tolerance they fall back to the full scan, and either
 way they keep the same vertices.  ``measure`` closes each loop once and
 takes both the shoelace area and the edge lengths from that one copy.
 
+Each vertex of an arc is c + r u_i, so a loop's shoelace area and edge
+lengths are also sums over the templates alone (S = sum u_i x u_i+1,
+C = sum |u_i+1 - u_i|, cached beside them) plus the joins between arcs.
+``cut_corner_rectangle_measures`` and ``topped_substrip_measures`` return
+them without building the polygon, equal to ``measure`` of the built loop
+up to rounding; the oracle's rectangle and stadium searches read them, and
+each winner is then built and shoelace-measured on its real vertices.
+
 Coordinates are plain float64 numpy arrays of shape (n, 2).  A ``PolyShape``
 is a simple closed CCW loop, optionally with holes (for annuli); no exact or
 symbolic kernel is involved anywhere.
@@ -40,12 +48,14 @@ __all__ = [
     "build_cut_corner_rectangle",
     "build_topped_substrip",
     "contains_points",
+    "cut_corner_rectangle_measures",
     "first_segment_intersection",
     "measure",
     "points_near_segments",
     "scale_shape",
     "segment_distances",
     "signed_area",
+    "topped_substrip_measures",
     "translate_shape",
 ]
 
@@ -150,7 +160,7 @@ def _dedupe(points: np.ndarray, tol: float = 1e-14) -> np.ndarray:
 
 
 def _arc_loop(radius: float, arcs: tuple[tuple[float, float, float, float], ...],
-              segments: int, scale: float, tol: float = 1e-14) -> PolyShape:
+              scale: float, segments: int, tol: float = 1e-14) -> PolyShape:
     """Closed loop of arcs (center x, center y, a0, a1) of one radius and one
     sweep laid end to end, ``segments`` edges each and no coordinate larger
     than ``scale`` in magnitude, deduplicated as ``_dedupe`` would.
@@ -158,11 +168,11 @@ def _arc_loop(radius: float, arcs: tuple[tuple[float, float, float, float], ...]
     The cached templates are copied into one array, scaled, and shifted by
     their centers.  Within an arc consecutive vertices are a chord 2 r
     sin(sweep / 2 segments) apart; while that chord clears tol by 64 ulps of
-    scale, no rounding of the vertices brings a within-arc pair down to tol,
-    so only the first vertex of each arc can duplicate its predecessor (for
-    the first arc that is the last vertex, closing the loop, which _dedupe
-    drops instead).  These pairs get _dedupe's arithmetic and so its
-    answer.  Below that margin the full scan runs.
+    scale (``_joins_only``), no rounding of the vertices brings a within-arc
+    pair down to tol, so only the first vertex of each arc can duplicate its
+    predecessor (for the first arc that is the last vertex, closing the
+    loop, which _dedupe drops instead).  These pairs get _dedupe's
+    arithmetic and so its answer.  Below that margin the full scan runs.
     """
     n = int(segments) + 1
     points = np.empty((len(arcs) * n, 2))
@@ -173,9 +183,7 @@ def _arc_loop(radius: float, arcs: tuple[tuple[float, float, float, float], ...]
     # broadcast row, or one strided column at a time, is slow)
     blocks = points.view(np.complex128).reshape(len(arcs), n)
     blocks += np.array([complex(x, y) for x, y, _, _ in arcs])[:, None]
-    _, _, a0, a1 = arcs[0]
-    chord = 2.0 * radius * math.sin(abs(a1 - a0) / (2 * (n - 1)))
-    if not chord > tol + 64.0 * math.ulp(scale):
+    if not _joins_only(radius, arcs, scale, n - 1, tol):
         return PolyShape(_dedupe(points, tol))
     starts = np.arange(0, len(points), n)
     d = points[starts] - points[starts - 1]
@@ -187,14 +195,63 @@ def _arc_loop(radius: float, arcs: tuple[tuple[float, float, float, float], ...]
     return PolyShape(points)
 
 
-def build_cut_corner_rectangle(length: float, t: float,
-                               segments: int = DEFAULT_SEGMENTS) -> PolyShape:
-    """R_L = (-L/2, L/2) x (-1, 1) with corners cut by tangent arcs of radius t.
+def _joins_only(radius: float, arcs, scale: float, segments: int,
+                tol: float) -> bool:
+    """Whether the within-arc chord clears tol by 64 ulps of scale, so that
+    only arc joins can hold coincident vertices."""
+    _, _, a0, a1 = arcs[0]
+    chord = 2.0 * radius * math.sin(abs(a1 - a0) / (2 * segments))
+    return chord > tol + 64.0 * math.ulp(scale)
 
-    Exact measures: area 2L - (4-pi) t^2, perimeter 2L + 4 - (8-2pi) t.
-    ``segments`` counts edges per quarter arc.  Requires 0 < t <= min(1, L/2);
-    t = 1, L = 2 degenerates to the inscribed unit disk.
+
+@functools.lru_cache(maxsize=32)
+def _unit_arc_sums(a0: float, a1: float, segments: int) -> tuple:
+    """(S, C, u_first, u_last) of the template u = _unit_arc(a0, a1,
+    segments) as Python floats: S = sum u_i x u_i+1, C = sum |u_i+1 - u_i|,
+    and its end points as (x, y) pairs."""
+    u = _unit_arc(a0, a1, segments)
+    x, y = u[:, 0], u[:, 1]
+    d = u[1:] - u[:-1]
+    return (float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1])),
+            float(np.sum(np.hypot(d[:, 0], d[:, 1]))),
+            (float(x[0]), float(y[0])), (float(x[-1]), float(y[-1])))
+
+
+def _arc_loop_measures(radius: float, arcs: tuple[tuple[float, float, float, float], ...],
+                       scale: float, segments: int,
+                       tol: float = 1e-14) -> tuple[float, float]:
+    """(area, perimeter) of ``_arc_loop(radius, arcs, scale, segments, tol)``
+    without building it.
+
+    Arc k's vertices are c_k + r u_i, so its edges contribute
+    r^2 S_k + r c_k x (u_last - u_first) to twice the shoelace area and
+    r C_k to the perimeter, with S and C the template sums of
+    ``_unit_arc_sums``; the joins, from each arc's last vertex to the next
+    arc's first, are measured on those two vertices as the builder rounds
+    them.  A join the builder drops as a duplicate is at most tol long and
+    is counted all the same: that moves the perimeter by at most 2 tol and
+    the area by less, far below the rounding of the sums.  Below the
+    join-only margin the loop is built and measured.
     """
+    segments = int(segments)
+    if not _joins_only(radius, arcs, scale, segments, tol):
+        return measure(_arc_loop(radius, arcs, scale, segments, tol))
+    twice_area = perim = 0.0
+    ends = []  # each arc's (first, last) vertex
+    for cx, cy, a0, a1 in arcs:
+        cross, length, (x0, y0), (x1, y1) = _unit_arc_sums(a0, a1, segments)
+        twice_area += radius * (radius * cross + cx * (y1 - y0) - cy * (x1 - x0))
+        perim += radius * length
+        ends.append(((x0 * radius + cx, y0 * radius + cy),
+                     (x1 * radius + cx, y1 * radius + cy)))
+    for (_, p), (q, _) in zip(ends, ends[1:] + ends[:1]):
+        twice_area += p[0] * q[1] - p[1] * q[0]
+        perim += math.hypot(q[0] - p[0], q[1] - p[1])
+    return 0.5 * twice_area, perim
+
+
+def _cut_corner_loop(length: float, t: float, segments: int):
+    """(radius, arcs, scale) of the cut-corner rectangle, validated."""
     if not (length > 0.0 and 0.0 < t <= min(1.0, length / 2.0)):
         raise ValueError(f"need 0 < t <= min(1, L/2), got t={t}, L={length}")
     if segments < 4:
@@ -203,7 +260,36 @@ def build_cut_corner_rectangle(length: float, t: float,
     quarter = 0.5 * math.pi
     arcs = ((cx, -cy, -quarter, 0.0), (cx, cy, 0.0, quarter),
             (-cx, cy, quarter, math.pi), (-cx, -cy, math.pi, math.pi + quarter))
-    return _arc_loop(t, arcs, segments, max(length / 2.0, 1.0))
+    return t, arcs, max(length / 2.0, 1.0)
+
+
+def build_cut_corner_rectangle(length: float, t: float,
+                               segments: int = DEFAULT_SEGMENTS) -> PolyShape:
+    """R_L = (-L/2, L/2) x (-1, 1) with corners cut by tangent arcs of radius t.
+
+    Exact measures: area 2L - (4-pi) t^2, perimeter 2L + 4 - (8-2pi) t.
+    ``segments`` counts edges per quarter arc.  Requires 0 < t <= min(1, L/2);
+    t = 1, L = 2 degenerates to the inscribed unit disk.
+    """
+    return _arc_loop(*_cut_corner_loop(length, t, segments), segments)
+
+
+def cut_corner_rectangle_measures(length: float, t: float,
+                                  segments: int = DEFAULT_SEGMENTS) -> tuple[float, float]:
+    """(area, perimeter) of ``build_cut_corner_rectangle(length, t, segments)``
+    from the arc templates' sums, without building the polygon."""
+    return _arc_loop_measures(*_cut_corner_loop(length, t, segments), segments)
+
+
+def _stadium_loop(m: float, segments: int):
+    """(radius, arcs, scale) of the stadium, validated."""
+    if m < 0.0:
+        raise ValueError(f"substrip length must be >= 0, got {m}")
+    if segments < 4:
+        raise ValueError(f"need >= 4 segments per arc, got {segments}")
+    arcs = ((m / 2.0, 0.0, -0.5 * math.pi, 0.5 * math.pi),
+            (-m / 2.0, 0.0, 0.5 * math.pi, 1.5 * math.pi))
+    return 1.0, arcs, m / 2.0 + 1.0
 
 
 def build_topped_substrip(m: float, segments: int = DEFAULT_SEGMENTS) -> PolyShape:
@@ -212,13 +298,14 @@ def build_topped_substrip(m: float, segments: int = DEFAULT_SEGMENTS) -> PolySha
     Centered at the origin, caps at (+-m/2, 0).  Exact measures: area
     2m + pi, perimeter 2m + 2pi.  m = 0 gives the unit disk.
     """
-    if m < 0.0:
-        raise ValueError(f"substrip length must be >= 0, got {m}")
-    if segments < 4:
-        raise ValueError(f"need >= 4 segments per arc, got {segments}")
-    arcs = ((m / 2.0, 0.0, -0.5 * math.pi, 0.5 * math.pi),
-            (-m / 2.0, 0.0, 0.5 * math.pi, 1.5 * math.pi))
-    return _arc_loop(1.0, arcs, segments, m / 2.0 + 1.0)
+    return _arc_loop(*_stadium_loop(m, segments), segments)
+
+
+def topped_substrip_measures(m: float,
+                             segments: int = DEFAULT_SEGMENTS) -> tuple[float, float]:
+    """(area, perimeter) of ``build_topped_substrip(m, segments)`` from the
+    arc templates' sums, without building the polygon."""
+    return _arc_loop_measures(*_stadium_loop(m, segments), segments)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,17 @@
 Everything here re-derives answers from polygonal measures and generic
 one-dimensional minimization, never from the closed forms, so agreement
 between this module and ``analytic`` is a real check rather than an echo.
-Every polygonal family search is ``golden_section_min`` over
-ratio(build(x), alpha), searched coarse and re-measured at full resolution.
-``oracle_strip`` covers open and closed spines alike; its cut-corner search
-builds polygons, where the classifier measures corner patches, so on curved
-spines too the two agree only if both are right.
+Every family search is ``golden_section_min`` over the ratio perimeter /
+area^(1/alpha) of polygons at a tenth of the final resolution.  The
+rectangle's cut-corner and stadium families, and the free stadium length of
+``oracle_strip``, read those measures from ``geometry``'s arc-template sums
+(``cut_corner_rectangle_measures``, ``topped_substrip_measures``), which
+equal the shoelace measures of the built polygons without building them.
+Every winner is rebuilt at full resolution and shoelace-measured on its
+real vertices, and only those measures are reported.  ``oracle_strip``
+covers open and closed spines alike; its cut-corner search builds and
+measures each polygon, where the classifier measures corner patches, so on
+curved spines too the two agree only if both are right.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ import numpy as np
 from .analytic import CheegerSolution, SolutionKind, _alpha_value
 from .curves import CurveKind, StripCurve, densify
 from .geometry import (DEFAULT_SEGMENTS, PolyShape, build_cut_corner_rectangle,
-                       build_topped_substrip, contains_points, measure,
-                       translate_shape)
+                       build_topped_substrip, contains_points,
+                       cut_corner_rectangle_measures, measure,
+                       topped_substrip_measures, translate_shape)
 from .strips import (build_cut_corner_strip, build_strip_polygon,
                      build_topped_substrip_on_curve, fit_topped_substrip)
 
@@ -124,11 +131,15 @@ def golden_section_min(f: Callable, a, b, tol):
     return x_star, f(x_star)
 
 
-def _min_ratio(build: Callable[[float], PolyShape], a: float,
+def _min_ratio(measures: Callable[[float], tuple[float, float]], a: float,
                lo: float, hi: float) -> float:
-    """Golden-section minimizer of x -> ratio(build(x), a) on [lo, hi]."""
-    x_star, _ = golden_section_min(lambda x: ratio(build(x), a), lo, hi,
-                                   SEARCH_TOL)
+    """Golden-section minimizer on [lo, hi] of the ratio perimeter /
+    area^(1/a) of measures(x) = (area, perimeter)."""
+    def h(x):
+        area, perim = measures(x)
+        return perim / area ** (1.0 / a)
+
+    x_star, _ = golden_section_min(h, lo, hi, SEARCH_TOL)
     return x_star
 
 
@@ -142,9 +153,10 @@ def oracle_rectangle(length: float, alpha,
     families on polygonal measures alone.
 
     The corner-cut family is minimized over t in (0, min(1, L/2)] and the
-    stadium family over its length m in [0, L-2]; the search runs at a tenth
-    of ``segments`` and the winner is re-measured at full resolution.  No
-    closed form enters: this output is what the formulas are tested against.
+    stadium family over its length m in [0, L-2]; the search reads the
+    template measures of polygons at a tenth of ``segments``, and each
+    winner is built and measured at full resolution.  No closed form
+    enters: this output is what the formulas are tested against.
     """
     a = _alpha_value(alpha)
     if length < 2.0:
@@ -158,7 +170,7 @@ def oracle_rectangle(length: float, alpha,
     coarse = _search_segments(segments)
 
     t_hi = min(1.0, length / 2.0)
-    t_star = _min_ratio(lambda t: build_cut_corner_rectangle(length, t, coarse),
+    t_star = _min_ratio(lambda t: cut_corner_rectangle_measures(length, t, coarse),
                         a, 1e-9 * t_hi, t_hi)
     cut_shape = build_cut_corner_rectangle(length, t_star, segments)
     cut_area, cut_perim = measure(cut_shape)
@@ -166,7 +178,7 @@ def oracle_rectangle(length: float, alpha,
 
     m_hi = length - 2.0
     if m_hi > 1e-9:
-        m_star = _min_ratio(lambda m: build_topped_substrip(m, coarse),
+        m_star = _min_ratio(lambda m: topped_substrip_measures(m, coarse),
                             a, 0.0, m_hi)
     else:
         m_star = 0.0
@@ -199,12 +211,13 @@ def _best_feasible_stadium(curve: StripCurve, a: float, coarse: int,
     """(m, fit) minimizing the capped-substrip ratio subject to fitting.
 
     The measures of a capped substrip do not depend on the spine, so the
-    unconstrained minimizer comes from the straight stadium family; when that
+    unconstrained minimizer comes from the straight stadium family's
+    template measures at ``coarse`` segments per cap; when that
     length does not fit, the largest feasible length is bisected (feasibility
     shrinks monotonically in m) and taken, since the ratio decreases up to
     the unconstrained minimizer.  Returns (None, None) if nothing fits.
     """
-    m_free = _min_ratio(lambda m: build_topped_substrip(m, coarse),
+    m_free = _min_ratio(lambda m: topped_substrip_measures(m, coarse),
                         a, 0.0, curve.length)
     fit = _coarse_fit(curve, m_free)
     if fit.any_feasible:
@@ -234,7 +247,7 @@ def search_cut_corner_strip(curve: StripCurve, dense: StripCurve, alpha,
     """
     a = _alpha_value(alpha)
     coarse = _search_segments(segments)
-    t_star = _min_ratio(lambda t: build_cut_corner_strip(curve, t, coarse),
+    t_star = _min_ratio(lambda t: measure(build_cut_corner_strip(curve, t, coarse)),
                         a, 1e-9, 1.0)
     area, perim = measure(build_cut_corner_strip(dense, t_star, segments))
     return CheegerSolution(kind=SolutionKind.CUT_CORNERS,

@@ -19,7 +19,6 @@ from alphacheeger import (
     cut_corner_perimeter,
     diameter_bound,
     free_boundary_radius,
-    h_alpha_rectangle,
     h_alpha_strip_limit,
     m_of_alpha,
     scale_constant,
@@ -48,7 +47,8 @@ lengths = st.floats(min_value=2.0, max_value=80.0)
 def test_corner_radius_matches_golden_reference():
     for (length, a), (t_star, h_star) in GOLDEN_CORNER.items():
         assert corner_radius(length, a) == pytest.approx(t_star, abs=1e-8)
-        assert h_alpha_rectangle(length, a) == pytest.approx(h_star, rel=1e-10)
+        assert classify_rectangle(length, a).solution.h_alpha == pytest.approx(
+            h_star, rel=1e-10)
 
 
 def test_stadium_length_matches_golden_reference():
@@ -74,8 +74,8 @@ def test_alpha_domain_checks():
     with pytest.raises(ValueError):
         h_alpha_strip_limit(2.0)
     with pytest.raises(ValueError):
-        h_alpha_rectangle(10.0, 0.5)
-    for fn in (m_of_alpha, h_alpha_strip_limit, lambda a: h_alpha_rectangle(3.0, a)):
+        classify_rectangle(10.0, 0.5)
+    for fn in (m_of_alpha, h_alpha_strip_limit, lambda a: classify_rectangle(3.0, a)):
         with pytest.raises(ValueError, match="alpha=nan outside domain"):
             fn(math.nan)
 
@@ -106,7 +106,7 @@ def test_round_trip_boundary_length_of_alpha_bar(length):
 @given(alphas, lengths, lengths)
 def test_h_monotone_in_length(a, l1, l2):
     l1, l2 = min(l1, l2), max(l1, l2)
-    h1, h2 = h_alpha_rectangle(l1, a), h_alpha_rectangle(l2, a)
+    h1, h2 = (classify_rectangle(x, a).solution.h_alpha for x in (l1, l2))
     boundary = m_of_alpha(a) + 2.0
     assert h1 >= h2 - 1e-12 * h1
     if l2 <= boundary * (1.0 - 1e-9) and l2 - l1 > 1e-6:
@@ -120,7 +120,8 @@ def test_h_monotone_and_strict_in_alpha(length, a1, a2):
     a1, a2 = min(a1, a2), max(a1, a2)
     assume(a2 - a1 > 1e-9)
     # every minimizer here has area > 1, so the inequality is strict
-    assert h_alpha_rectangle(length, a2) > h_alpha_rectangle(length, a1)
+    assert (classify_rectangle(length, a2).solution.h_alpha
+            > classify_rectangle(length, a1).solution.h_alpha)
 
 
 @given(alphas)
@@ -131,7 +132,8 @@ def test_branch_values_agree_at_the_case_boundary(a):
     h_family = (stadium_perimeter(m_of_alpha(a))
                 / stadium_area(m_of_alpha(a)) ** (1.0 / a))
     assert h_cut == pytest.approx(h_family, rel=1e-10)
-    assert h_alpha_rectangle(length, a) == pytest.approx(h_family, rel=1e-10)
+    assert classify_rectangle(length, a).solution.h_alpha == pytest.approx(
+        h_family, rel=1e-10)
 
 
 def disk_ratio(r, a):
@@ -147,17 +149,6 @@ def test_scale_constant_matches_ball_rescaling(a, t):
     rescaled = scale_constant(h, t, a)
     assert disk_ratio(t, a) == pytest.approx(rescaled, rel=1e-10)
     assert rescaled == h * t ** (1.0 - 2.0 / a)  # the planar law, bit for bit
-
-
-def test_h_alpha_rectangle_is_the_classifier_ratio():
-    # one case split: the constant is classify_rectangle's, bit for bit,
-    # on a grid and inside the band around L = M(alpha) + 2
-    for a in (1.01 + 0.07 * k for k in range(15)):
-        boundary = m_of_alpha(a) + 2.0
-        band = [boundary * (1.0 + 2e-9 * k / 8) for k in range(-8, 9)]
-        for length in (2.0, 3.0, 5.0, 8.0, 21.0, 1e6, math.inf, *band):
-            assert (h_alpha_rectangle(length, a)
-                    == classify_rectangle(length, a).solution.h_alpha)
 
 
 @given(alphas)
@@ -184,7 +175,7 @@ def test_free_boundary_radius_matches_corner_radius(a, frac):
     assume(boundary > 2.05)
     length = 2.0 + frac * (boundary - 2.0 - 0.02)
     r = corner_radius(length, a)
-    h = h_alpha_rectangle(length, a)
+    h = classify_rectangle(length, a).solution.h_alpha
     relation = free_boundary_radius(h, cut_corner_area(length, r), a)
     assert relation == pytest.approx(r, rel=1e-10)
 

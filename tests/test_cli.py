@@ -427,6 +427,23 @@ def test_infinite_straight_path_is_stretched_to_its_window(run, curve_file):
     assert "verify: PASS (tolerance 1e-06)" in out.splitlines()
 
 
+@pytest.mark.parametrize("direction", [(1.0, 0.0), (0.6, 0.8)])
+def test_infinite_straight_sample_list_is_stretched_to_its_window(run, curve_file,
+                                                                 direction):
+    # 201 collinear samples 20 long: straight, so rebuilt on the 42.41-long
+    # window like the segment, whose report it repeats after the domain line
+    s = np.linspace(0.0, 20.0, 201)
+    samples = [[float(x), float(y)] for x, y in zip(direction[0] * s, direction[1] * s)]
+    path = curve_file("samples20.json", {"samples": samples, "kind": "infinite"})
+    segment = curve_file("segment20.json", {"primitive": "segment", "length": 20.0,
+                                            "kind": "infinite"})
+    code, out, err = run("strip", path, "--alpha", "1.5", "--verify")
+    assert (code, err) == (0, "")
+    assert "verify: PASS (tolerance 1e-06)" in out.splitlines()
+    _, expected, _ = run("strip", segment, "--alpha", "1.5", "--verify")
+    assert out.splitlines()[1:] == expected.splitlines()[1:]
+
+
 def test_strip_verifies_the_classified_window(run, curve_file, monkeypatch):
     seen = []
     original = cli.oracle_strip

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from alphacheeger import (
@@ -13,11 +13,13 @@ from alphacheeger import (
     build_topped_substrip,
     contains_points,
     cut_corner_area,
+    cut_corner_rectangle_measures,
     cut_corner_perimeter,
     measure,
     scale_shape,
     stadium_area,
     stadium_perimeter,
+    topped_substrip_measures,
     translate_shape,
 )
 from alphacheeger import CircleSpec, PathSpec, curve_from_source
@@ -175,6 +177,41 @@ def test_join_only_dedupe_is_the_full_scan_bit_for_bit(monkeypatch, builder, dir
     assert np.array_equal(got, direct(*args))
     arcs = 4 if builder is build_cut_corner_rectangle else 2
     assert (len(got) < arcs * (args[-1] + 1)) == dropped
+
+
+# (u, t_frac, m_frac, segments): L = 2 * 5e5^u, t = t_frac min(1, L/2), m = m_frac L
+@example(0.0, 1.0, 0.0, 4)  # L = 2, t = 1: every join drops; m = 0: the unit disk
+@example(0.0, 1.0, 0.0, 10_000)
+@example(0.5, 1.0, 1.0, 64)  # t = 1 < L/2: the two vertical joins drop
+@example(0.0, 1e-12, 2.5e-15, 1000)  # full-scan fallback; the caps' 5e-15 join drops
+@example(1.0, 1e-9, 0.0, 1000)  # L = 1e6, t = 1e-9: full-scan fallback
+@given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=1e-9, max_value=1.0),
+       st.floats(min_value=0.0, max_value=1.0), st.sampled_from([4, 64, 1000, 10_000]))
+def test_template_measures_are_the_built_polygons_measures(u, t_frac, m_frac, segments):
+    length = 2.0 * 5e5 ** u  # log-uniform on [2, 1e6]
+    t = t_frac * min(1.0, length / 2.0)
+    assert (cut_corner_rectangle_measures(length, t, segments)
+            == pytest.approx(measure(build_cut_corner_rectangle(length, t, segments)),
+                             rel=1e-13))
+    m = m_frac * length
+    assert (topped_substrip_measures(m, segments)
+            == pytest.approx(measure(build_topped_substrip(m, segments)), rel=1e-13))
+
+
+@pytest.mark.parametrize("builder,measures,args", [
+    (build_cut_corner_rectangle, cut_corner_rectangle_measures, (4.0, 0.0, 100)),
+    (build_cut_corner_rectangle, cut_corner_rectangle_measures, (4.0, 1.2, 100)),
+    (build_cut_corner_rectangle, cut_corner_rectangle_measures, (2.0, 1.0 + 1e-6, 100)),
+    (build_cut_corner_rectangle, cut_corner_rectangle_measures, (4.0, 0.5, 3)),
+    (build_topped_substrip, topped_substrip_measures, (-1e-9, 100)),
+    (build_topped_substrip, topped_substrip_measures, (2.0, 3)),
+])
+def test_template_measures_refuse_what_the_builders_refuse(builder, measures, args):
+    with pytest.raises(ValueError) as built:
+        builder(*args)
+    with pytest.raises(ValueError) as measured:
+        measures(*args)
+    assert str(measured.value) == str(built.value)
 
 
 def _rolled_shoelace(loop):

@@ -1,6 +1,8 @@
 """Numerical verification layer: golden section, family minimizers, MC area."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ from alphacheeger import (
     SolutionKind,
     build_cut_corner_rectangle,
     build_topped_substrip,
+    classify_rectangle,
     corner_radius,
     golden_section_min,
-    h_alpha_rectangle,
     h_alpha_strip_limit,
     m_of_alpha,
     measure,
@@ -107,7 +109,8 @@ def search_family(build, a, lo, hi):
 def test_solve_ratio_problem_cut_corner_family(segments, oracle_rtol):
     t_star, h_star = search_family(
         lambda t: build_cut_corner_rectangle(4.0, t, segments), 1.2, 1e-9, 1.0)
-    assert h_star == pytest.approx(h_alpha_rectangle(4.0, 1.2), rel=oracle_rtol)
+    assert h_star == pytest.approx(classify_rectangle(4.0, 1.2).solution.h_alpha,
+                                   rel=oracle_rtol)
     assert t_star == pytest.approx(corner_radius(4.0, 1.2), abs=100 * oracle_rtol)
 
 
@@ -115,7 +118,8 @@ def test_oracle_rectangle_short_cell(segments, oracle_rtol):
     sol = oracle_rectangle(2.0, 1.9, segments)
     assert sol.kind is SolutionKind.CUT_CORNERS
     assert sol.unique
-    assert sol.h_alpha == pytest.approx(h_alpha_rectangle(2.0, 1.9), rel=oracle_rtol)
+    assert sol.h_alpha == pytest.approx(classify_rectangle(2.0, 1.9).solution.h_alpha,
+                                        rel=oracle_rtol)
 
 
 def test_oracle_rectangle_long_cell(segments, oracle_rtol):
@@ -212,3 +216,36 @@ def test_oracle_rectangle_refuses_lengths_its_search_cannot_resolve():
     sol = oracle_rectangle(MAX_ORACLE_LENGTH, 1.5, 100)
     assert sol.kind is SolutionKind.TOPPED_SUBSTRIP
     assert sol.h_alpha == pytest.approx(h_alpha_strip_limit(1.5), rel=1e-3)
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "alphacheeger"
+
+
+def _package_imports(module: str) -> dict[str, set[str]]:
+    """Package module -> names that ``module`` imports from it, anywhere in
+    its source; "" is the package itself and "*" the whole module."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "alphacheeger":
+                    found.setdefault(alias.name[len("alphacheeger."):], set()).add("*")
+        elif isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level == 0:
+                if name.split(".")[0] != "alphacheeger":
+                    continue
+                name = name[len("alphacheeger."):]
+            for alias in node.names:
+                if name:
+                    found.setdefault(name, set()).add(alias.name)
+                else:  # from . import module
+                    found.setdefault(alias.name, set()).add("*")
+    return found
+
+
+def test_oracle_shares_no_code_with_the_closed_forms():
+    assert _package_imports("geometry") == {}
+    oracle = _package_imports("oracle")
+    assert "" not in oracle and "classifier" not in oracle
+    assert oracle["analytic"] <= {"CheegerSolution", "SolutionKind", "_alpha_value"}
