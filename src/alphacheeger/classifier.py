@@ -276,7 +276,7 @@ def classify_open_strip(curve: StripCurve, alpha) -> StripClassification:
     if length > upper * (1.0 + CASE_BOUNDARY_RTOL):
         evidence["case"] = "ii"
         if not fit.any_feasible:
-            raise RuntimeError(
+            raise ValueError(
                 "no feasible substrip placement found although the spine is "
                 f"longer than M + pi = {upper:.6f}; the admissibility "
                 "invariants should rule this out, inspect the spine")

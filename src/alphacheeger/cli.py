@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -348,11 +349,11 @@ def _strip_shape(curve: StripCurve, cls: StripClassification, segments: int,
             s0 = 0.5 * (lo + hi)
         return build_topped_substrip_on_curve(curve, s0, sol.stadium_length,
                                               segments)
-    return build_strip_polygon(curve, check=False)
+    return build_strip_polygon(curve)
 
 
 def _strip_svg(path: str, curve: StripCurve, cls: StripClassification) -> None:
-    domain = build_strip_polygon(curve, check=False)
+    domain = build_strip_polygon(curve)
     loops = [domain.vertices, *domain.holes]
     sol = cls.solution
     if sol.kind is SolutionKind.CUT_CORNERS:
@@ -501,6 +502,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alphacheeger",

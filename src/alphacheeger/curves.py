@@ -8,7 +8,7 @@ normals, taken from a source with exact frames at any arclength
 (the analytic primitives segment, arc, circle and arc/line path, the spline
 ``SampledSpec`` through a sample list, or a ``WindowSpec`` of either), plus
 a JSON file loader and the invariant validator that rejects spines the
-structure theorems do not cover.
+structure theorems do not cover (``StripCurve.validate``, the one test).
 
 Curve kinds: "finite", "semi_infinite", "infinite" (open strips; the
 infinite ones are realized on a finite window and re-truncated on demand)
@@ -40,7 +40,6 @@ __all__ = [
     "curve_from_samples",
     "curve_from_source",
     "load_curve",
-    "offset_crossings",
     "parse_curve",
 ]
 
@@ -351,8 +350,9 @@ class StripCurve:
         return np.concatenate([[kappa[0]], kappa, [kappa[-1]]])
 
     def validate(self) -> list[str]:
-        """Violated admissibility invariants (empty list = valid spine); unit
-        normals hold by construction (``_unit_frames``)."""
+        """Violated admissibility invariants (empty list = valid spine): the
+        curvature bound, an annulus' closure, then a simple strip boundary;
+        unit normals hold by construction (``_unit_frames``)."""
         bad: list[str] = []
         kappa = np.abs(self.curvature())
         if kappa.max() > 1.0 + CURVATURE_SLACK:
@@ -367,18 +367,8 @@ class StripCurve:
             if gap > gap_tol or tgap > FRAME_TOL:
                 bad.append(f"annulus spine not closed: position gap {gap:.3e}, "
                            f"tangent gap {tgap:.3e}")
-        if not bad:
-            closed = self.kind is CurveKind.ANNULUS
-            lo = self.offset(-1.0)
-            hi = self.offset(+1.0)
-            if closed:
-                lo, hi = lo[:-1], hi[:-1]
-            for which, (i, j) in offset_crossings(lo, hi, closed):
-                bad.append({
-                    "lower": f"offset t=-1 self-intersects: segments {i} and {j}",
-                    "upper": f"offset t=+1 self-intersects: segments {i} and {j}",
-                    "between": f"offsets t=-1 and t=+1 intersect: segments {i} and {j}",
-                }[which])
+        if not bad and (crossing := _boundary_crossing(self)) is not None:
+            bad.append("strip boundary self-intersects: {} crosses {}".format(*crossing))
         return bad
 
     @functools.cached_property
@@ -392,20 +382,37 @@ class StripCurve:
             raise CurveValidationError(list(self.violations))
 
 
-def offset_crossings(lower: np.ndarray, upper: np.ndarray, closed: bool):
-    """The injectivity tests of the offset map, lazily and in order.
+def _boundary_crossing(curve: StripCurve) -> tuple[str, str] | None:
+    """The two parts of the strip's boundary that cross first, or None.
 
-    The map is injective iff the offset polylines at t = -1 and t = +1 are
-    each simple and do not cross each other.  Yields (which, (i, j)) for
-    each failed test, ``which`` being "lower", "upper" or "between", with
-    the first crossing segment pair.
+    With |kappa| <= 1 the map Psi is a local diffeomorphism, so it is
+    injective on [0, L] x [-1, 1] exactly when the boundary is simple.  An
+    annulus' boundary is its two offset loops; an open strip's is one loop:
+    offset t = -1, the end at s = L, offset t = +1 back, the end at s = 0.
+    Each end is split into collinear pieces no longer than ds (at most one
+    per sample), so that it does not size the cells of
+    ``first_segment_intersection``'s grid; adjacent pieces are not tested
+    and the others are disjoint, so the split adds no crossing.
     """
-    for which, path, other in (("lower", lower, None), ("upper", upper, None),
-                               ("between", lower, upper)):
-        pair = first_segment_intersection(path, other, closed_a=closed,
-                                          closed_b=closed)
-        if pair is not None:
-            yield which, pair
+    lo, hi = curve.offset(-1.0), curve.offset(+1.0)
+    if curve.kind is CurveKind.ANNULUS:
+        off = {"-1": lo[:-1], "+1": hi[:-1]}
+        for ta, tb in (("-1", "-1"), ("+1", "+1"), ("-1", "+1")):
+            pair = first_segment_intersection(off[ta], off[tb] if tb != ta else None,
+                                              closed_a=True, closed_b=True)
+            if pair is not None:
+                return tuple(f"offset t={lv} segment {k}" for lv, k in zip((ta, tb), pair))
+        return None
+    n, pieces = len(lo) - 1, min(len(lo), math.ceil(2.0 / curve.ds))
+    t = (np.arange(1, pieces) / pieces)[:, None]
+    loop = np.vstack([lo, lo[-1] + t * (hi[-1] - lo[-1]), hi[::-1],
+                      hi[0] + t * (lo[0] - hi[0])])
+    pair = first_segment_intersection(loop, closed_a=True)
+    return None if pair is None else tuple(
+        f"offset t=-1 segment {k}" if k < n else
+        "the end segment at s = L" if k < n + pieces else
+        f"offset t=+1 segment {2 * n + pieces - 1 - k}" if k < 2 * n + pieces else
+        "the end segment at s = 0" for k in pair)
 
 
 def _menger(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -277,6 +277,7 @@ def oracle_strip(curve: StripCurve, alpha,
     if curve.kind is CurveKind.FINITE:
         best = search_cut_corner_strip(curve, dense, a, segments)
     elif curve.kind is CurveKind.ANNULUS:
+        dense.require_admissible()
         shape = build_strip_polygon(dense)
         area, perim = measure(shape)
         best = CheegerSolution(kind=SolutionKind.WHOLE_DOMAIN,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveKind, StripCurve, offset_crossings
+from .curves import CurveKind, StripCurve
 from .geometry import (PolyShape, points_near_segments, segment_distances,
                        signed_area)
 
@@ -66,26 +66,15 @@ def _unique_offset(curve: StripCurve, level: float) -> np.ndarray:
     return pts[:-1] if curve.kind is CurveKind.ANNULUS else pts
 
 
-def build_strip_polygon(curve: StripCurve, check: bool = True) -> PolyShape:
+def build_strip_polygon(curve: StripCurve) -> PolyShape:
     """Polygon bounded by the offsets at t = +-1 (plus end segments if open).
 
     For an annulus spine the result has one hole (outer and inner offset
-    loops).  With ``check`` (default) the offset polylines are tested for
-    injectivity of the offset map and the build is rejected naming the first
-    crossing segment pair; pass check=False for curves that already passed
-    validate().
+    loops).  It only builds: admissibility, including a simple boundary, is
+    ``StripCurve.validate``'s test.
     """
     lo = _unique_offset(curve, -1.0)
     hi = _unique_offset(curve, +1.0)
-    if check:
-        for which, pair in offset_crossings(lo, hi, curve.kind is CurveKind.ANNULUS):
-            if which == "between":
-                raise ValueError(
-                    "offset map is not injective: the two offset polylines "
-                    f"cross at segment pair {pair}")
-            raise ValueError(
-                f"offset map is not injective: the {which} offset "
-                f"polyline self-intersects at segment pair {pair}")
     if curve.kind is CurveKind.ANNULUS:
         area_lo, area_hi = abs(signed_area(lo)), abs(signed_area(hi))
         outer, inner = (lo, hi) if area_lo >= area_hi else (hi, lo)

@@ -13,11 +13,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from xml.etree import ElementTree as ET
 
-from alphacheeger import classify_rectangle, cli, m_of_alpha
+from alphacheeger import classifier, classify_rectangle, cli, m_of_alpha
+from alphacheeger.strips import FitResult
 
 
 @pytest.fixture
@@ -555,7 +556,49 @@ _FUZZED_CURVES = st.one_of(
     st.fixed_dictionaries({"samples": _SAMPLES, "kind": _CURVE_KINDS}))
 
 
+# ends 0.71 apart: the strip overlaps itself through its end at s = 0
+OVERLAP_SPINE = {"primitive": "path", "pieces": [
+    ["arc", 2.68, -2.18], ["arc", 2.47, -1.67], ["line", 5.61], ["arc", 1.28, -2.54],
+    ["line", 4.89]]}
+
+
+@pytest.mark.parametrize("alpha", ["1.07", "1.0704", "1.072"])
+def test_strip_overlapping_through_an_end_is_refused(run, curve_file, alpha):
+    path = curve_file("overlap.json", OVERLAP_SPINE)
+    code, out, err = run("strip", path, "--alpha", alpha, "--verify")
+    assert code == 2 and out == ""
+    assert err == ("error: strip boundary self-intersects: offset t=-1 segment 2045 "
+                   "crosses the end segment at s = 0\n")
+
+
+def test_empty_case_ii_fit_exits_with_one_line(run, curve_file, monkeypatch):
+    spine = {"primitive": "path", "pieces": [["line", 10], ["arc", 3, math.pi],
+                                             ["line", 10]]}
+    assert 20 + 3 * math.pi > m_of_alpha(1.5) + math.pi  # case (ii)
+    monkeypatch.setattr(classifier, "fit_topped_substrip", lambda curve, m: FitResult(
+        np.zeros(0), np.zeros(0, dtype=bool), 1.0, 128))
+    code, out, err = run("strip", curve_file("u.json", spine), "--alpha", "1.5")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: no feasible substrip placement found")
+
+
+def test_parser_is_built_once_and_reused_after_an_argv_error(run, capsys):
+    argv = ["rect", "--length", "5", "--alpha", "1.5"]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    fresh = subprocess.run([sys.executable, "-m", "alphacheeger.cli", *argv],
+                           capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src}).stdout
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rect", "--length", "5"])  # --alpha missing
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.build_parser() is cli.build_parser()
+    assert run(*argv) == (0, fresh, "")
+
+
 @settings(max_examples=60)
+@example(spec=OVERLAP_SPINE, alpha="1.072", extra=())
 @given(spec=_PLAUSIBLE_CURVES | _FUZZED_CURVES,
        alpha=st.one_of(st.floats(1.05, 1.95), st.floats(0.9, 2.1),
                        st.just(math.nan)).map(repr),

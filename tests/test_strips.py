@@ -33,7 +33,7 @@ from alphacheeger import (
     stadium_area,
     stadium_perimeter,
 )
-from alphacheeger import strips
+from alphacheeger import curves, strips
 from alphacheeger.oracle import _coarse_fit
 
 import reference_kernels as ref
@@ -199,14 +199,51 @@ def test_fit_rejects_negative_length(ring20):
         fit_topped_substrip(ring20, -0.1)
 
 
+G_SHAPE = PathSpec((("line", 4.0), ("arc", 1.5, 1.9 * math.pi)))
+# ends 0.71 apart: the lower offset crosses the end segment at s = 0, while
+# each offset is simple and the two offsets do not cross
+OVERLAP_SPINE = PathSpec((("arc", 2.68, -2.18), ("arc", 2.47, -1.67), ("line", 5.61),
+                          ("arc", 1.28, -2.54), ("line", 4.89)))
+
+
 def test_overlapping_tube_is_rejected_with_the_segment_pair_named():
     # admissible curvature (kappa = 2/3) but the near-closed loop dives back
-    # toward the tail, so the tube overlaps itself and the offset polylines
-    # cross; the builder must refuse and say where
-    g_shape = curve_from_source(PathSpec((("line", 4.0), ("arc", 1.5, 1.9 * math.pi))))
+    # toward the tail, so the tube overlaps itself; validate must refuse and
+    # name both boundary parts with their segment indices
+    g_shape = curve_from_source(G_SHAPE)
     assert float(np.abs(g_shape.curvature()).max()) < 1.0
-    with pytest.raises(ValueError, match=r"not injective.*segment pair \(\d+, \d+\)"):
-        build_strip_polygon(g_shape, check=True)
+    assert g_shape.validate() == ["strip boundary self-intersects: offset t=-1 "
+                                  "segment 1797 crosses offset t=+1 segment 245"]
+    assert curve_from_source(OVERLAP_SPINE).validate() == [
+        "strip boundary self-intersects: offset t=-1 segment 2045 crosses the "
+        "end segment at s = 0"]
+
+
+def _random_path_spines(count=150, seed=11):
+    """Seeded paths of 2-5 pieces: lines 0.2-6 long, arcs of radius 1-4
+    turning 0.3-3.3 rad either way."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        pieces = []
+        for _ in range(int(rng.integers(2, 6))):
+            if rng.random() < 0.4:
+                pieces.append(("line", float(rng.uniform(0.2, 6.0))))
+            else:
+                turn = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.3))
+                pieces.append(("arc", float(rng.uniform(1.0, 4.0)), turn))
+        yield PathSpec(tuple(pieces))
+
+
+def test_boundary_crossing_is_the_every_pair_first_crossing_of_the_loop(monkeypatch):
+    # the grid scan's first pair on the split boundary loop, named by part,
+    # is the every-pair scan's first pair on the same loop
+    spines = [curve_from_source(spec, n_samples=256)
+              for spec in (*_random_path_spines(), G_SHAPE, OVERLAP_SPINE)]
+    found = [curves._boundary_crossing(curve) for curve in spines]
+    monkeypatch.setattr(curves, "first_segment_intersection", ref.first_segment_intersection)
+    assert [curves._boundary_crossing(curve) for curve in spines] == found
+    assert None in found  # admissible and overlapping spines are both drawn
+    assert any("end segment" in got[1] for got in found if got is not None)
 
 
 def test_curvature_violation_is_reported_by_validate():
