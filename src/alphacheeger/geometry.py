@@ -25,8 +25,8 @@ Coordinates are plain float64 numpy arrays of shape (n, 2).  A ``PolyShape``
 is a simple closed CCW loop, optionally with holes (for annuli); no exact or
 symbolic kernel is involved anywhere.
 
-The all-pairs kernels (segment crossings, point containment, points near a
-polyline) draw their candidate pairs from one uniform-grid bucket index,
+The all-pairs kernels (segment crossings, point containment) draw their
+candidate pairs from one uniform-grid bucket index,
 ``_Grid``: item boxes are registered in every cell they touch, the cell
 keys are sorted once, and queries find their cells with ``searchsorted``.
 Cells come from a floor that is monotone under rounding, so a pair whose
@@ -51,9 +51,7 @@ __all__ = [
     "cut_corner_rectangle_measures",
     "first_segment_intersection",
     "measure",
-    "points_near_segments",
     "scale_shape",
-    "segment_distances",
     "signed_area",
     "topped_substrip_measures",
     "translate_shape",
@@ -397,16 +395,6 @@ class _Grid:
             q = q_end
 
 
-def segment_distances(p: np.ndarray, a: np.ndarray, ab: np.ndarray,
-                      ab2: np.ndarray) -> np.ndarray:
-    """Distance from each point p[k] to the segment a[k] + [0, 1] ab[k]
-    (ab2[k] = |ab[k]|^2, nonzero), clamping the foot to the segment."""
-    ap = p - a
-    tt = np.clip((ap[:, 0] * ab[:, 0] + ap[:, 1] * ab[:, 1]) / ab2, 0.0, 1.0)
-    closest = a + tt[:, None] * ab
-    return np.hypot(*(p - closest).T)
-
-
 # ---------------------------------------------------------------------------
 # Point containment and segment intersection.
 
@@ -433,53 +421,14 @@ def _crossing_inside(loop: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return crossings % 2 == 1
 
 
-def points_near_segments(pts: np.ndarray, a: np.ndarray, ab: np.ndarray,
-                         ab2: np.ndarray, reach: float) -> np.ndarray:
-    """Which points lie within distance ``reach`` of some segment
-    a[k] + [0, 1] ab[k] (ab2 = |ab|^2, nonzero), by ``segment_distances``.
-
-    Only segments whose box, grown by reach and a rounding margin, covers
-    the point's grid cell are measured; every segment within reach is
-    among them, so the verdict is that of the minimum over all segments.
-    """
-    scale = float(_finite_max(np.abs(a)).max())
-    grow = reach + 1e-9 * (reach + scale)
-    lo, hi = np.minimum(a, a + ab), np.maximum(a, a + ab)
-    cell = np.maximum(_finite_max(hi - lo), 0.5 * grow)
-    near = np.zeros(len(pts), dtype=bool)
-    for p, e in _Grid(lo - grow, hi + grow, cell).pairs(pts):
-        close = segment_distances(pts[p], a[e], ab[e], ab2[e]) <= reach
-        near[p[close]] = True
-    return near
-
-
-def _near_loop(loop: np.ndarray, pts: np.ndarray, tol: float) -> np.ndarray:
-    """Which points lie within distance tol of the loop's edges."""
-    ab = np.roll(loop, -1, axis=0) - loop
-    ab2 = np.einsum("ij,ij->i", ab, ab)
-    return points_near_segments(pts, loop, ab, np.where(ab2 == 0.0, 1.0, ab2), tol)
-
-
-def contains_points(shape: PolyShape, pts: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Boolean mask: which points lie inside the shape (holes excluded).
-
-    ``tol`` is an absolute slack: points outside (or inside a hole) but within
-    distance tol of the boundary still count as inside, which makes tangency
-    configurations robust to roundoff.
-    """
+def contains_points(shape: PolyShape, pts: np.ndarray) -> np.ndarray:
+    """Boolean mask: which points lie inside the shape (holes excluded)."""
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
     inside = _crossing_inside(shape.vertices, pts)
     for hole in shape.holes:
         inside &= ~_crossing_inside(hole, pts)
-    if tol > 0.0:
-        doubtful = np.flatnonzero(~inside)
-        if len(doubtful):
-            near = np.zeros(len(doubtful), dtype=bool)
-            for loop in (shape.vertices, *shape.holes):
-                near |= _near_loop(loop, pts[doubtful], tol)
-            inside[doubtful] = near
     return inside
 
 

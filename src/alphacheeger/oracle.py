@@ -203,7 +203,7 @@ def _canonical_anchor(fit) -> float:
 
 def _coarse_fit(curve: StripCurve, m: float):
     return fit_topped_substrip(curve, m, scan_step=curve.length / 64.0,
-                               cap_points=96, spine_points=1024)
+                               cap_points=96)
 
 
 def _best_feasible_stadium(curve: StripCurve, a: float, coarse: int,

@@ -10,13 +10,14 @@ curvature term integrates to zero across the width, and the two offset
 lengths (1-kappa) ds + (1+kappa) ds cancel.  A placement is feasible when
 both caps lie inside the strip and the caps do not collide with each other.
 
-The fit scan tests all anchors in one batched pass: frames for every
-anchor at once, the cap points of all anchors stacked, end-line tests
-vectorized, and each cap point's distance to the spine polyline taken
-first from the few segments around its bisected foot and, failing that,
-from the segments the geometry grid index buckets near it.  Any segment
-within reach is among those candidates, so the verdicts are those of the
-minimum over all spine segments.
+Every cap point is at distance exactly 1 from its cap center, a spine
+point.  A point that close to an admissible spine lies in the strip unless
+its nearest spine point is an end of an open spine, and then it lies in
+the unit half-disk beyond that end.  So the fit scan is two batched tests
+over all anchors at once: the end test (no cap point in an end half-disk,
+open spines only) and the collision test (the two caps do not overlap).
+The end test is conservative: where an end points back at the spine, its
+half-disk also covers strip points, and a cap lying on them is rejected.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurveKind, StripCurve
-from .geometry import (PolyShape, points_near_segments, segment_distances,
-                       signed_area)
+from .geometry import PolyShape, signed_area
 
 __all__ = [
     "FitResult",
@@ -350,8 +350,10 @@ class FitResult:
     """Outcome of scanning cap placements along a spine.
 
     ``candidates`` holds the scanned anchor values s0, ``feasible`` the
-    verdict per candidate, ``step`` the scan resolution.  On annulus spines a
-    feasible run that wraps past s = 0 shows up as two intervals.
+    verdict per candidate (end test and collision test), ``step`` the scan
+    resolution and ``cap_points`` the samples per cap boundary in the end
+    test.  On annulus spines a feasible run that wraps past s = 0 shows up
+    as two intervals.
     """
 
     candidates: np.ndarray
@@ -389,153 +391,55 @@ class FitResult:
 
 
 def _caps_collide(c_a: np.ndarray, u_a: np.ndarray, c_b: np.ndarray,
-                  u_b: np.ndarray) -> bool:
-    """Do two unit half-disk caps (centers c, outward flat-side directions u)
-    overlap?  Probes each cap's sampled closure against the other's
-    half-disk inequalities."""
-    gap = float(np.hypot(*(c_a - c_b)))
-    if gap >= 2.0:
-        return False
-    if gap <= 1e-12:
-        # coincident centers: complementary half-disks (opposite flat
-        # normals) share only their diameter, anything else overlaps
-        return float(u_a @ u_b) > -1.0 + 1e-9
-    phi = np.linspace(-0.5 * math.pi, 0.5 * math.pi, CAP_PROBE_POINTS)
+                  u_b: np.ndarray) -> np.ndarray:
+    """Per row: do two unit half-disk caps (centers c, outward flat-side
+    directions u, each (k, 2)) overlap?  Probes each cap's sampled closure,
+    rings of radius 1, 1/2 and 1/4, against the other's half-disk
+    inequalities; coincident centers collide unless the flat sides face
+    opposite ways (complementary half-disks share only their diameter)."""
+    gap = np.hypot(*(c_a - c_b).T)
+    phi = np.linspace(-0.5 * math.pi, 0.5 * math.pi, CAP_PROBE_POINTS)[:, None]
+    rad = np.array([1.0, 0.5, 0.25])[:, None, None]
+    hit = np.zeros(len(gap), dtype=bool)
     for c_this, u_this, c_other, u_other in ((c_a, u_a, c_b, u_b),
                                              (c_b, u_b, c_a, u_a)):
-        nor = np.array([-u_this[1], u_this[0]])
-        for rad in (1.0, 0.5, 0.25):
-            pts = c_this + rad * (np.outer(np.cos(phi), u_this)
-                                  + np.outer(np.sin(phi), nor))
-            rel = pts - c_other
-            inside = (np.hypot(rel[:, 0], rel[:, 1]) < 1.0 - 1e-9) \
-                & (rel @ u_other > 1e-9)
-            if inside.any():
-                return True
-    return False
+        nor = np.column_stack([-u_this[:, 1], u_this[:, 0]])
+        pts = c_this[:, None, None] + rad * (np.cos(phi) * u_this[:, None, None]
+                                             + np.sin(phi) * nor[:, None, None])
+        rel = pts - c_other[:, None, None]
+        u = u_other[:, None, None]
+        inside = (np.hypot(rel[..., 0], rel[..., 1]) < 1.0 - 1e-9) \
+            & (rel[..., 0] * u[..., 0] + rel[..., 1] * u[..., 1] > 1e-9)
+        hit |= inside.any(axis=(1, 2))
+    facing = u_a[:, 0] * u_b[:, 0] + u_a[:, 1] * u_b[:, 1] > -1.0 + 1e-9
+    return (gap < 2.0) & np.where(gap <= 1e-12, facing, hit)
 
 
-class _TubeProbe:
-    """Containment test against the strip as a tubular neighborhood.
-
-    For an admissible spine (injective offset map) the strip is exactly the
-    set of points within distance 1 of the spine, minus, for open spines, the
-    two half-disk regions beyond the end lines.  A point passes when its
-    clamped distance to the spine polyline is <= 1 + tol and it is not
-    strictly behind an end line while within unit reach of that endpoint.
-    The spine polyline is decimated to at most ``max_points`` vertices; with
-    |curvature| <= 1 the inscribed polyline sags below the smooth spine by at
-    most eff_step^2 / 8, which the caller folds into the tolerance.
-
-    The distance test first bisects, for every point at once, for the sign
-    change of (p - a_i) . (b_i - a_i) over the segments within arclength pi
-    of the point's cap center (the foot of a point within unit reach of a
-    spine with |curvature| <= 1 lies there) and measures the three segments
-    around it.  A point not found within 1 + tol that way is measured
-    against every segment the grid index of ``points_near_segments`` puts
-    near it, so each verdict is that of the minimum over all segments.
-    """
-
-    def __init__(self, curve: StripCurve, max_points: int):
-        pts = curve.points
-        closed = curve.kind is CurveKind.ANNULUS
-        if closed:
-            pts = pts[:-1]
-        n = len(pts)
-        stride = max(int(math.ceil(n / max_points)), 1)
-        idx = np.arange(0, n, stride)
-        if not closed and idx[-1] != n - 1:
-            idx = np.append(idx, n - 1)
-        sp = pts[idx]
-        if closed:
-            self.a = sp
-            self.b = np.roll(sp, -1, axis=0)
-        else:
-            self.a = sp[:-1]
-            self.b = sp[1:]
-        self.closed = closed
-        self.eff_step = stride * curve.ds
-        ab = self.b - self.a
-        self.ab = ab
-        self.ab2 = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
-        if not closed:
-            self.p_start, t_start, _ = curve.frame_at(0.0)
-            self.t_start = t_start
-            self.p_end, t_end, _ = curve.frame_at(curve.length)
-            self.t_end = t_end
-
-    def _segment(self, i: np.ndarray) -> np.ndarray:
-        """Segment indices, wrapped on closed spines and clamped on open ones."""
-        n = len(self.a)
-        return i % n if self.closed else np.clip(i, 0, n - 1)
-
-    def _near_foot(self, pts: np.ndarray, s_ref: np.ndarray,
-                   tol: float) -> np.ndarray:
-        """Points found within 1 + tol of the three segments around their
-        bisected foot (a sufficient test, see the class docstring)."""
-        bracket = int(math.ceil(math.pi / self.eff_step)) + 1
-        center = np.floor(s_ref / self.eff_step).astype(np.int64)
-        lo, hi = center - bracket, center + bracket
-        if not self.closed:
-            lo, hi = self._segment(lo), self._segment(hi)
-        while (hi - lo > 1).any():
-            mid = (lo + hi) // 2
-            i = self._segment(mid)
-            rel = pts - self.a[i]
-            ahead = rel[:, 0] * self.ab[i, 0] + rel[:, 1] * self.ab[i, 1] >= 0.0
-            lo = np.where(ahead, mid, lo)
-            hi = np.where(ahead, hi, mid)
-        near = np.zeros(len(pts), dtype=bool)
-        for shift in (-1, 0, 1):
-            i = self._segment(lo + shift)
-            near |= segment_distances(pts, self.a[i], self.ab[i],
-                                      self.ab2[i]) <= 1.0 + tol
-        return near
-
-    def _behind_ends(self, caps: np.ndarray, tol: float) -> np.ndarray:
-        """Per cap set: is a point strictly behind an end line while within
-        unit reach of that endpoint?"""
-        rel0 = caps - self.p_start
-        in_d0 = (rel0 @ self.t_start < -tol) \
-            & (np.hypot(rel0[..., 0], rel0[..., 1]) <= 1.0 + tol)
-        rel1 = caps - self.p_end
-        in_d1 = (rel1 @ self.t_end > tol) \
-            & (np.hypot(rel1[..., 0], rel1[..., 1]) <= 1.0 + tol)
-        return (in_d0 | in_d1).any(axis=-1)
-
-    def contains(self, caps: np.ndarray, s_ref: np.ndarray,
-                 tol: float) -> np.ndarray:
-        """For each point set caps[k] (shape (k, p, 2)): are all its points
-        inside the strip?  ``s_ref[k, j]`` is the arclength of the cap
-        center that point j of set k belongs to."""
-        ok = np.ones(len(caps), dtype=bool)
-        if not self.closed:
-            ok &= ~self._behind_ends(caps, tol)
-        pts = caps[ok].reshape(-1, 2)
-        near = self._near_foot(pts, s_ref[ok].ravel(), tol)
-        rest = np.flatnonzero(~near)
-        if len(rest):
-            near[rest] = points_near_segments(pts[rest], self.a, self.ab,
-                                              self.ab2, 1.0 + tol)
-        ok[ok] = near.reshape(-1, caps.shape[1]).all(axis=1)
-        return ok
+def _behind_ends(curve: StripCurve, pts: np.ndarray, tol: float) -> np.ndarray:
+    """Per point of an open spine's strip plane: is it strictly behind an
+    end line while within unit reach of that endpoint, that is, in one of
+    the two half-disks beyond the ends?"""
+    behind = np.zeros(pts.shape[:-1], dtype=bool)
+    for s, ahead in ((0.0, -1.0), (curve.length, 1.0)):
+        end, tan, _ = curve.frame_at(s)
+        rel = pts - end
+        behind |= (ahead * (rel @ tan) > tol) \
+            & (np.hypot(rel[..., 0], rel[..., 1]) <= 1.0 + tol)
+    return behind
 
 
 def fit_topped_substrip(curve: StripCurve, m: float, *,
                         scan_step: float | None = None,
-                        cap_points: int = DEFAULT_SCAN_CAP_POINTS,
-                        spine_points: int = 2048) -> FitResult:
+                        cap_points: int = DEFAULT_SCAN_CAP_POINTS) -> FitResult:
     """Scan anchor positions s0 at which the capped substrip fits the strip.
 
     The substrip itself is a subset of the strip by construction, so only the
-    caps are tested: every sampled cap-boundary point must lie within the
-    strip (tubular-neighborhood distance test, see _TubeProbe), and the two
-    caps must not collide (relevant on closed spines when M approaches the
-    spine length).  The tolerance absorbs the spine decimation sag
-    (eff_step^2 / 8) plus 1e-9 * L; caps touching the boundary tangentially,
-    which they always do along their flat-side endpoints, stay feasible.
-    All anchors are tested in one batched pass; the collision test runs
-    only on the anchors whose caps lie inside the strip.
+    caps are tested, for all anchors in one batched pass.  On an open spine
+    no sampled cap-boundary point may lie in a half-disk beyond an end (the
+    end test, with slack CONTAINMENT_RTOL * L, so that caps touching the
+    boundary tangentially, as they always do along their flat-side
+    endpoints, stay feasible); on every spine the two caps must not collide.
+    An annulus has no ends, so only the collision test runs there.
     """
     if m < 0.0:
         raise ValueError(f"substrip length must be >= 0, got {m}")
@@ -559,15 +463,11 @@ def fit_topped_substrip(curve: StripCurve, m: float, *,
         candidates = np.unique(np.concatenate([np.arange(n + 1) * scan_step,
                                                [span]]))
 
-    probe = _TubeProbe(curve, spine_points)
-    tol = CONTAINMENT_RTOL * length + probe.eff_step ** 2 / 8.0
-
     p0, t0, n0 = curve.frames(candidates)
     p1, t1, n1 = curve.frames(candidates + m)
-    caps = np.concatenate([_cap_boundary(p0, t0, n0, -1.0, cap_points),
-                           _cap_boundary(p1, t1, n1, +1.0, cap_points)], axis=1)
-    s_ref = np.repeat([candidates, candidates + m], cap_points, axis=0).T
-    feasible = probe.contains(caps, s_ref, tol)
-    for i in np.flatnonzero(feasible):
-        feasible[i] = not _caps_collide(p0[i], -t0[i], p1[i], t1[i])
+    feasible = ~_caps_collide(p0, -t0, p1, t1)
+    if not wrap:
+        caps = np.concatenate([_cap_boundary(p0, t0, n0, -1.0, cap_points),
+                               _cap_boundary(p1, t1, n1, +1.0, cap_points)], axis=1)
+        feasible &= ~_behind_ends(curve, caps, CONTAINMENT_RTOL * length).any(axis=1)
     return FitResult(candidates, feasible, float(scan_step), cap_points)

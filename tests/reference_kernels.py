@@ -1,11 +1,12 @@
 """Reference copies the package is tested against.
 
 The all-pairs strip kernels as they were before the grid index: every
-segment pair, every point against every edge, and the fit scan one anchor
-at a time against all spine segments near its caps; and the corner
-crossing of the cut-corner strip scanned over the whole offset.  The
-bit-identity tests compare the indexed and localized kernels in
-``alphacheeger`` with them.
+segment pair and every point against every edge; the fit scan one anchor
+at a time, its caps tested against all spine segments near them (the
+tube's distance test and end test) and against each other
+(``caps_collide``); and the corner crossing of the cut-corner strip
+scanned over the whole offset.  The bit-identity tests compare the
+indexed, localized and batched kernels in ``alphacheeger`` with them.
 
 The two extended-precision minimizers (``min_cut_corner_ratio``,
 ``min_stadium_ratio``) are the references for the corner-radius and
@@ -23,7 +24,7 @@ from alphacheeger.analytic import _alpha_value
 from alphacheeger.curves import CurveKind
 from alphacheeger.geometry import PolyShape
 from alphacheeger.oracle import golden_section_min
-from alphacheeger.strips import CONTAINMENT_RTOL, DEFAULT_SCAN_CAP_POINTS, _caps_collide
+from alphacheeger.strips import CAP_PROBE_POINTS, CONTAINMENT_RTOL, DEFAULT_SCAN_CAP_POINTS
 
 _CHUNK = 4_000_000
 
@@ -173,6 +174,33 @@ def _cap_boundary(center, tangent, normal, outward, n_points):
             + np.outer(np.sin(phi), normal))
 
 
+def caps_collide(c_a: np.ndarray, u_a: np.ndarray, c_b: np.ndarray,
+                 u_b: np.ndarray) -> bool:
+    """Do two unit half-disk caps (centers c, outward flat-side directions u)
+    overlap?  Probes each cap's sampled closure against the other's
+    half-disk inequalities."""
+    gap = float(np.hypot(*(c_a - c_b)))
+    if gap >= 2.0:
+        return False
+    if gap <= 1e-12:
+        # coincident centers: complementary half-disks (opposite flat
+        # normals) share only their diameter, anything else overlaps
+        return float(u_a @ u_b) > -1.0 + 1e-9
+    phi = np.linspace(-0.5 * math.pi, 0.5 * math.pi, CAP_PROBE_POINTS)
+    for c_this, u_this, c_other, u_other in ((c_a, u_a, c_b, u_b),
+                                             (c_b, u_b, c_a, u_a)):
+        nor = np.array([-u_this[1], u_this[0]])
+        for rad in (1.0, 0.5, 0.25):
+            pts = c_this + rad * (np.outer(np.cos(phi), u_this)
+                                  + np.outer(np.sin(phi), nor))
+            rel = pts - c_other
+            inside = (np.hypot(rel[:, 0], rel[:, 1]) < 1.0 - 1e-9) \
+                & (rel @ u_other > 1e-9)
+            if inside.any():
+                return True
+    return False
+
+
 class _TubeProbe:
     def __init__(self, curve, max_points):
         pts = curve.points
@@ -254,7 +282,7 @@ def fit_feasible(curve, m, *, scan_step=None, cap_points=DEFAULT_SCAN_CAP_POINTS
                           _cap_boundary(p1, t1, n1, +1.0, cap_points)])
         if not probe.contains(caps, np.array([p0, p1]), tol):
             continue
-        if _caps_collide(p0, -t0, p1, t1):
+        if caps_collide(p0, -t0, p1, t1):
             continue
         feasible[i] = True
     return candidates, feasible
