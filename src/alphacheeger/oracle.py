@@ -195,15 +195,8 @@ def oracle_rectangle(length: float, alpha,
                            unique=False, stadium_length=m_star)
 
 
-def _canonical_anchor(fit) -> float:
-    """Middle of the widest feasible run."""
-    lo, hi = fit.widest
-    return 0.5 * (lo + hi)
-
-
 def _coarse_fit(curve: StripCurve, m: float):
-    return fit_topped_substrip(curve, m, scan_step=curve.length / 64.0,
-                               cap_points=96)
+    return fit_topped_substrip(curve, m, scan_step=curve.length / 64.0)
 
 
 def _best_feasible_stadium(curve: StripCurve, a: float, coarse: int,
@@ -263,9 +256,9 @@ def oracle_strip(curve: StripCurve, alpha,
     The corner-cut family (finite open spines) is golden-searched over the
     corner radius (``search_cut_corner_strip``); closed spines contribute
     the whole annulus; the capped-substrip family is searched over its
-    length with fit feasibility enforced, then evaluated at one feasible
-    anchor (all placements share the same measures), translated so that its
-    anchor point is the origin.  Purely polygonal, mirroring
+    length with fit feasibility enforced, then evaluated at the start of the
+    widest feasible run (all placements share the same measures), translated
+    so that its anchor point is the origin.  Purely polygonal, mirroring
     oracle_rectangle, so on curved spines it checks the classifier's
     patch-measure search independently.
     """
@@ -286,7 +279,7 @@ def oracle_strip(curve: StripCurve, alpha,
 
     m_star, fit = _best_feasible_stadium(dense, a, coarse)
     if m_star is not None:
-        s0 = _canonical_anchor(fit)
+        s0 = fit.widest[0]  # nearest s = 0: far out, arclength is quantized
         shape = build_topped_substrip_on_curve(dense, s0, m_star, segments)
         # measured next to the origin: far from it the shoelace sum cancels
         x0, y0 = dense.frame_at(s0)[0]

@@ -10,14 +10,21 @@ curvature term integrates to zero across the width, and the two offset
 lengths (1-kappa) ds + (1+kappa) ds cancel.  A placement is feasible when
 both caps lie inside the strip and the caps do not collide with each other.
 
-Every cap point is at distance exactly 1 from its cap center, a spine
-point.  A point that close to an admissible spine lies in the strip unless
-its nearest spine point is an end of an open spine, and then it lies in
-the unit half-disk beyond that end.  So the fit scan is two batched tests
-over all anchors at once: the end test (no cap point in an end half-disk,
-open spines only) and the collision test (the two caps do not overlap).
-The end test is conservative: where an end points back at the spine, its
-half-disk also covers strip points, and a cap lying on them is rejected.
+A cap is a closed unit half-disk D(c, u): centre c on the spine, outward
+flat-side direction u.  Its points are within 1 of c, and a point that
+close to an admissible spine lies in the strip unless its nearest spine
+point is an end of an open spine; then it lies in the unit half-disk beyond
+that end.  So both fit tests ask whether two unit half-disks meet: the two
+caps (the collision test) and, on open spines, each cap and each end
+half-disk D(gamma(0), -T(0)), D(gamma(L), T(L)), T the unit tangent (the
+end test).  D(c, u) has the support function c . w + |w| in directions w
+with w . u >= 0, else c . w + |w . u_perp|.  Over 11 axes, u_a, u_b,
+c_b - c_a, each centre to the other's two flat-side corners and the four
+corner-to-corner directions (the normals of every closest-feature pair),
+the largest gap between the two projections is the distance of disjoint
+half-disks and <= 0 for half-disks that meet.  The end test is
+conservative: where an end points back at the spine, its half-disk also
+covers strip points, and a cap lying on them is rejected.
 """
 
 from __future__ import annotations
@@ -41,9 +48,6 @@ __all__ = [
 
 # Containment slack for exact-resolution tests is CONTAINMENT_RTOL * length.
 CONTAINMENT_RTOL = 1e-9
-
-DEFAULT_SCAN_CAP_POINTS = 128
-CAP_PROBE_POINTS = 64  # per cap boundary ring in the collision test
 
 # Corner patches of cut_corner_strip_measures: the crossing table covers
 # arclength pi/2 from each end (plus a margin for the curvature slack), and
@@ -350,16 +354,19 @@ class FitResult:
     """Outcome of scanning cap placements along a spine.
 
     ``candidates`` holds the scanned anchor values s0, ``feasible`` the
-    verdict per candidate (end test and collision test), ``step`` the scan
-    resolution and ``cap_points`` the samples per cap boundary in the end
-    test.  On annulus spines a feasible run that wraps past s = 0 shows up
-    as two intervals.
+    verdict per candidate (end test and collision test) and ``step`` the
+    scan resolution.  On annulus spines a feasible run that wraps past
+    s = 0 shows up as two intervals.
     """
 
     candidates: np.ndarray
     feasible: np.ndarray
     step: float
-    cap_points: int
+
+    @property
+    def cap_points(self) -> int:
+        # read only by perfbench/tracing.py; ROADMAP item 1a retires it
+        return 0  # no cap points are sampled: the fit tests are exact
 
     @property
     def any_feasible(self) -> bool:
@@ -390,56 +397,56 @@ class FitResult:
         return max(runs, key=lambda iv: iv[1] - iv[0])
 
 
-def _caps_collide(c_a: np.ndarray, u_a: np.ndarray, c_b: np.ndarray,
-                  u_b: np.ndarray) -> np.ndarray:
-    """Per row: do two unit half-disk caps (centers c, outward flat-side
-    directions u, each (k, 2)) overlap?  Probes each cap's sampled closure,
-    rings of radius 1, 1/2 and 1/4, against the other's half-disk
-    inequalities; coincident centers collide unless the flat sides face
-    opposite ways (complementary half-disks share only their diameter)."""
-    gap = np.hypot(*(c_a - c_b).T)
-    phi = np.linspace(-0.5 * math.pi, 0.5 * math.pi, CAP_PROBE_POINTS)[:, None]
-    rad = np.array([1.0, 0.5, 0.25])[:, None, None]
-    hit = np.zeros(len(gap), dtype=bool)
-    for c_this, u_this, c_other, u_other in ((c_a, u_a, c_b, u_b),
-                                             (c_b, u_b, c_a, u_a)):
-        nor = np.column_stack([-u_this[:, 1], u_this[:, 0]])
-        pts = c_this[:, None, None] + rad * (np.cos(phi) * u_this[:, None, None]
-                                             + np.sin(phi) * nor[:, None, None])
-        rel = pts - c_other[:, None, None]
-        u = u_other[:, None, None]
-        inside = (np.hypot(rel[..., 0], rel[..., 1]) < 1.0 - 1e-9) \
-            & (rel[..., 0] * u[..., 0] + rel[..., 1] * u[..., 1] > 1e-9)
-        hit |= inside.any(axis=(1, 2))
-    facing = u_a[:, 0] * u_b[:, 0] + u_a[:, 1] * u_b[:, 1] > -1.0 + 1e-9
-    return (gap < 2.0) & np.where(gap <= 1e-12, facing, hit)
+def _half_disk_gap(c_a: np.ndarray, u_a: np.ndarray, c_b: np.ndarray,
+                   u_b: np.ndarray) -> np.ndarray:
+    """Per row, the gap of the unit half-disks D(c_a, u_a) and D(c_b, u_b)
+    (each argument (k, 2)) over the 11 axes of the module docstring, those
+    of zero length skipped; complementary half-disks on one centre give 0."""
+    d = c_b - c_a  # projections relative to c_a
+    n_a, n_b = (np.column_stack([-u[:, 1], u[:, 0]]) for u in (u_a, u_b))
+    # d + i n_b + j n_a for i, j in {-1, 0, 1}: the centre line, each centre
+    # to the other's corners, and corner to corner
+    i, j = np.divmod(np.arange(9.0), 3.0)
+    axes = np.concatenate([[u_a, u_b], d + (i - 1.0)[:, None, None] * n_b
+                           + (j - 1.0)[:, None, None] * n_a])
+    norm = np.hypot(axes[..., 0], axes[..., 1])
+    w = axes / np.where(norm > 0.0, norm, 1.0)[..., None]
+
+    def reach(u: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Support of D(0, u) along w and along -w."""
+        wu, wn = (w * u).sum(axis=-1), np.abs((w * n).sum(axis=-1))
+        return np.where(wu >= 0.0, 1.0, wn), np.where(wu <= 0.0, 1.0, wn)
+
+    (up_a, down_a), (up_b, down_b) = reach(u_a, n_a), reach(u_b, n_b)
+    shift = (w * d).sum(axis=-1)
+    gap = np.maximum(shift - down_b - up_a, -shift - down_a - up_b)
+    return np.where(norm > 0.0, gap, -np.inf).max(axis=0)
 
 
-def _behind_ends(curve: StripCurve, pts: np.ndarray, tol: float) -> np.ndarray:
-    """Per point of an open spine's strip plane: is it strictly behind an
-    end line while within unit reach of that endpoint, that is, in one of
-    the two half-disks beyond the ends?"""
-    behind = np.zeros(pts.shape[:-1], dtype=bool)
-    for s, ahead in ((0.0, -1.0), (curve.length, 1.0)):
-        end, tan, _ = curve.frame_at(s)
-        rel = pts - end
-        behind |= (ahead * (rel @ tan) > tol) \
-            & (np.hypot(rel[..., 0], rel[..., 1]) <= 1.0 + tol)
-    return behind
+def _cap_gaps(curve: StripCurve, s0: np.ndarray, m: float) -> np.ndarray:
+    """Half-disk gaps of the caps anchored at each s0, in one batched call:
+    row 0 pairs the two caps; on open spines rows 1-4 pair the back cap,
+    then the front cap, with the start's end half-disk, then with the end's."""
+    p0, t0, _ = curve.frames(s0)
+    p1, t1, _ = curve.frames(s0 + m)
+    pairs = [(p0, -t0, p1, t1)]
+    if curve.kind is not CurveKind.ANNULUS:
+        ends, tans, _ = curve.frames(np.array([0.0, curve.length]))
+        for end, u in ((ends[0], -tans[0]), (ends[1], tans[1])):
+            pairs += [(c, t, np.broadcast_to(end, c.shape), np.broadcast_to(u, c.shape))
+                      for c, t in ((p0, -t0), (p1, t1))]
+    return _half_disk_gap(*map(np.concatenate, zip(*pairs))).reshape(len(pairs), -1)
 
 
 def fit_topped_substrip(curve: StripCurve, m: float, *,
-                        scan_step: float | None = None,
-                        cap_points: int = DEFAULT_SCAN_CAP_POINTS) -> FitResult:
+                        scan_step: float | None = None) -> FitResult:
     """Scan anchor positions s0 at which the capped substrip fits the strip.
 
     The substrip itself is a subset of the strip by construction, so only the
-    caps are tested, for all anchors in one batched pass.  On an open spine
-    no sampled cap-boundary point may lie in a half-disk beyond an end (the
-    end test, with slack CONTAINMENT_RTOL * L, so that caps touching the
-    boundary tangentially, as they always do along their flat-side
-    endpoints, stay feasible); on every spine the two caps must not collide.
-    An annulus has no ends, so only the collision test runs there.
+    caps are tested, for all anchors in one ``_cap_gaps`` call.  They collide
+    when their gap is below -1e-9; on an open spine a cap-to-end gap below
+    -CONTAINMENT_RTOL * L fails the fit (the slack keeps caps feasible that
+    touch an end tangentially, as they do along their flat sides).
     """
     if m < 0.0:
         raise ValueError(f"substrip length must be >= 0, got {m}")
@@ -450,8 +457,7 @@ def fit_topped_substrip(curve: StripCurve, m: float, *,
 
     no_room = (m >= length - 1e-12) if wrap else (m > length + 1e-12)
     if no_room:
-        return FitResult(np.array([0.0]), np.array([False]), float(scan_step),
-                         cap_points)
+        return FitResult(np.array([0.0]), np.array([False]), float(scan_step))
 
     if wrap:
         n = max(int(round(length / scan_step)), 1)
@@ -463,11 +469,6 @@ def fit_topped_substrip(curve: StripCurve, m: float, *,
         candidates = np.unique(np.concatenate([np.arange(n + 1) * scan_step,
                                                [span]]))
 
-    p0, t0, n0 = curve.frames(candidates)
-    p1, t1, n1 = curve.frames(candidates + m)
-    feasible = ~_caps_collide(p0, -t0, p1, t1)
-    if not wrap:
-        caps = np.concatenate([_cap_boundary(p0, t0, n0, -1.0, cap_points),
-                               _cap_boundary(p1, t1, n1, +1.0, cap_points)], axis=1)
-        feasible &= ~_behind_ends(curve, caps, CONTAINMENT_RTOL * length).any(axis=1)
-    return FitResult(candidates, feasible, float(scan_step), cap_points)
+    gap = _cap_gaps(curve, candidates, m)
+    feasible = (gap[0] >= -1e-9) & (gap[1:] >= -CONTAINMENT_RTOL * length).all(axis=0)
+    return FitResult(candidates, feasible, float(scan_step))

@@ -2,11 +2,13 @@
 
 The all-pairs strip kernels as they were before the grid index: every
 segment pair and every point against every edge; the fit scan one anchor
-at a time, its caps tested against all spine segments near them (the
-tube's distance test and end test) and against each other
-(``caps_collide``); and the corner crossing of the cut-corner strip
-scanned over the whole offset.  The bit-identity tests compare the
-indexed, localized and batched kernels in ``alphacheeger`` with them.
+at a time, its caps sampled and tested against all spine segments near
+them (the tube's distance test and end test) and against each other
+(``caps_collide``), which is the sampled algorithm the exact half-disk
+test replaced; a dense fill of two half-disks (``half_disks_meet``); and
+the corner crossing of the cut-corner strip scanned over the whole offset.
+The bit-identity tests compare the indexed, localized and batched kernels
+in ``alphacheeger`` with them.
 
 The two extended-precision minimizers (``min_cut_corner_ratio``,
 ``min_stadium_ratio``) are the references for the corner-radius and
@@ -15,6 +17,7 @@ floor sqrt(eps * f / f'') sits near 5e-8, above the 1e-8 agreement
 targets.  ``regular_polygon`` is a calibration shape.
 """
 
+import functools
 import math
 
 import mpmath as mp
@@ -24,9 +27,14 @@ from alphacheeger.analytic import _alpha_value
 from alphacheeger.curves import CurveKind
 from alphacheeger.geometry import PolyShape
 from alphacheeger.oracle import golden_section_min
-from alphacheeger.strips import CAP_PROBE_POINTS, CONTAINMENT_RTOL, DEFAULT_SCAN_CAP_POINTS
+from alphacheeger.strips import CONTAINMENT_RTOL
 
 _CHUNK = 4_000_000
+
+# The sampled fit scan's resolutions: boundary points per cap in the end
+# test, and per ring (radii 1, 1/2, 1/4) in the collision test.
+SAMPLED_CAP_POINTS = 128
+CAP_PROBE_POINTS = 64
 
 
 def _crossing_inside(loop, pts):
@@ -201,6 +209,50 @@ def caps_collide(c_a: np.ndarray, u_a: np.ndarray, c_b: np.ndarray,
     return False
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_half_disk(spacing, fill):
+    """Points of the unit half-disk D(0, (1, 0)) at most ``spacing`` apart:
+    its boundary (the arc and the flat side), or with ``fill`` the whole
+    half-disk on polar rings.  Each arc takes an odd count of angles on
+    [-pi/2, pi/2], so the tip is among them."""
+    steps = int(math.ceil(1.0 / spacing))
+    radii = np.linspace(0.0, 1.0, steps + 1)[1:] if fill else [1.0]
+    pts = [np.column_stack([np.zeros(2 * steps + 1), np.linspace(-1.0, 1.0, 2 * steps + 1)])]
+    for r in radii:
+        phi = np.linspace(-0.5 * math.pi, 0.5 * math.pi,
+                          2 * int(math.ceil(0.5 * math.pi * r / spacing)) + 1)
+        pts.append(r * np.column_stack([np.cos(phi), np.sin(phi)]))
+    return np.vstack(pts)
+
+
+def _half_disk_points(center, u, spacing, fill):
+    local = _unit_half_disk(spacing, fill)
+    return center + np.outer(local[:, 0], u) + np.outer(local[:, 1], [-u[1], u[0]])
+
+
+def half_disks_meet(c_a, u_a, c_b, u_b, spacing=1e-2):
+    """Dense-fill reference for two closed unit half-disks D(c, u) =
+    {x : |x - c| <= 1, (x - c) . u >= 0}: (overlap, distance).
+
+    ``overlap``: a fill point of one lies inside the other by more than
+    1e-9, so their interiors meet.  ``distance``: the least distance between
+    the two sampled boundaries.  It is within ``spacing`` above the distance
+    of disjoint half-disks, and at most ``spacing`` for half-disks that
+    meet, since then their boundaries meet.
+    """
+    def inside(pts, c, u):
+        rel = pts - c
+        return (np.hypot(rel[:, 0], rel[:, 1]) < 1.0 - 1e-9) & (rel @ u > 1e-9)
+
+    overlap = (inside(_half_disk_points(c_a, u_a, spacing, True), c_b, u_b).any()
+               or inside(_half_disk_points(c_b, u_b, spacing, True), c_a, u_a).any())
+    edge_a = _half_disk_points(c_a, u_a, spacing, False)
+    edge_b = _half_disk_points(c_b, u_b, spacing, False)
+    dx = edge_a[:, 0, None] - edge_b[None, :, 0]
+    dy = edge_a[:, 1, None] - edge_b[None, :, 1]
+    return bool(overlap), math.sqrt(float((dx * dx + dy * dy).min()))
+
+
 class _TubeProbe:
     def __init__(self, curve, max_points):
         pts = curve.points
@@ -255,7 +307,7 @@ class _TubeProbe:
         return True
 
 
-def fit_feasible(curve, m, *, scan_step=None, cap_points=DEFAULT_SCAN_CAP_POINTS,
+def fit_feasible(curve, m, *, scan_step=None, cap_points=SAMPLED_CAP_POINTS,
                  spine_points=2048):
     """(candidates, feasible) of the anchor-by-anchor fit scan."""
     wrap = curve.kind is CurveKind.ANNULUS

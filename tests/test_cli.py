@@ -488,6 +488,15 @@ def test_long_straight_spine_verifies(run, curve_file):
     assert float(gap.split(":")[1]) < 1e-6
 
 
+def test_far_straight_spine_verifies(run, curve_file):
+    # about s = 5e10 arclength itself is quantized at 7.6e-6, so the oracle
+    # anchors its substrip at the start of the widest feasible run
+    path = curve_file("far.json", {"primitive": "segment", "length": 1e11})
+    code, out, err = run("strip", path, "--alpha", "1.5", "--verify")
+    assert (code, err) == (0, "")
+    assert "verify: PASS (tolerance 1e-06)" in out.splitlines()
+
+
 def test_cli_never_imports_scipy():
     # numpy is the one runtime dependency: scipy and mpmath would add to
     # start-up time and memory, so no code path may import them, the
@@ -576,7 +585,7 @@ def test_empty_case_ii_fit_exits_with_one_line(run, curve_file, monkeypatch):
                                              ["line", 10]]}
     assert 20 + 3 * math.pi > m_of_alpha(1.5) + math.pi  # case (ii)
     monkeypatch.setattr(classifier, "fit_topped_substrip", lambda curve, m: FitResult(
-        np.zeros(0), np.zeros(0, dtype=bool), 1.0, 128))
+        np.zeros(0), np.zeros(0, dtype=bool), 1.0))
     code, out, err = run("strip", curve_file("u.json", spine), "--alpha", "1.5")
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err

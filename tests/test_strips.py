@@ -153,6 +153,17 @@ def test_annulus_cap_collision_threshold():
                                    scan_step=step).any_feasible
 
 
+def test_caps_facing_each_other_collide_just_inside_tangency():
+    # across the ring's spare arc the caps touch at centre distance 2; at
+    # 2 - 1e-6 they overlap by 1e-6, which the sampled probe rings missed
+    ring = curve_from_source(CircleSpec(5.0))
+    step = ring.length / 32.0
+    for dist, fits in ((2.0 - 1e-6, False), (2.0 + 1e-6, True)):
+        spare = 2.0 * 5.0 * math.asin(0.5 * dist / 5.0)
+        assert fit_topped_substrip(ring, ring.length - spare,
+                                   scan_step=step).any_feasible == fits
+
+
 def test_zero_length_substrip_is_a_disk_and_always_fits(ring20):
     fit = fit_topped_substrip(ring20, 0.0, scan_step=ring20.length / 32.0)
     assert bool(fit.feasible.all())
@@ -186,13 +197,21 @@ def _random_fit_cases(count=20, seed=23):
     return [(curve, float(rng.uniform(0.2, 0.7)) * curve.length) for curve in admissible]
 
 
+def _blind_spot(points):
+    """Deepest overlap a unit arc sampled at ``points`` even-spaced angles on
+    [-pi/2, pi/2] can hide between two samples: 1 - cos(half the step)."""
+    return 1.0 - math.cos(0.5 * math.pi / (points - 1))
+
+
 @pytest.mark.parametrize("name", ["ring4", "ring6", "u", "hook", "gentle", "ellipse",
                                   "random"])
 def test_fit_matches_the_anchor_by_anchor_scan(name, u_spine, hook_spine, gentle_spine,
                                                monkeypatch):
-    # the batched scan must give the same feasibility mask, bit for bit, as
-    # testing each anchor's caps against all nearby spine segments and
-    # against each other
+    # the batched exact scan must give the same feasibility mask as testing
+    # each anchor's sampled caps against all nearby spine segments and
+    # against each other, except where a sampled test was blind: an anchor
+    # it accepts may be rejected only for a cap poking past an end or into
+    # the other cap by less than its samples resolve
     if name == "random":
         cases = _random_fit_cases()
     else:
@@ -210,7 +229,8 @@ def test_fit_matches_the_anchor_by_anchor_scan(name, u_spine, hook_spine, gentle
             # the reference's end slack also holds its spine polyline's sag,
             # eff_step^2 / 8, here ds^2 / 8 (no setting decimates 128
             # samples), which can decide an anchor at this resolution; with
-            # the same slack only the distance half and the batching differ
+            # the same slack only the distance half, the sampling and the
+            # batching differ
             monkeypatch.setattr(strips, "CONTAINMENT_RTOL",
                                 CONTAINMENT_RTOL + curve.ds ** 2 / (8.0 * curve.length))
         for fit, kwargs in ((fit_topped_substrip(curve, m), {}),
@@ -219,7 +239,14 @@ def test_fit_matches_the_anchor_by_anchor_scan(name, u_spine, hook_spine, gentle
                                                      "spine_points": 1024})):
             candidates, feasible = ref.fit_feasible(curve, m, **kwargs)
             assert np.array_equal(fit.candidates, candidates)
-            assert np.array_equal(fit.feasible, feasible), (curve.source, m, kwargs)
+            moved = fit.feasible != feasible
+            assert not (fit.feasible & moved).any(), (curve.source, m, kwargs)
+            # depths past each test's slack
+            gap = strips._cap_gaps(curve, candidates[moved], m)
+            assert (gap[0] + 1e-9 >= -_blind_spot(ref.CAP_PROBE_POINTS)).all()
+            cap_points = kwargs.get("cap_points", ref.SAMPLED_CAP_POINTS)
+            slack = strips.CONTAINMENT_RTOL * curve.length
+            assert (gap[1:] + slack >= -_blind_spot(cap_points)).all()
             counts += np.bincount(feasible, minlength=2)
     assert name != "random" or counts.all()  # both verdicts are exercised
 
@@ -236,36 +263,65 @@ def test_end_test_slack_is_relative_to_the_length_only():
     assert ref.fit_feasible(curve, M_HALF, scan_step=step)[1][1]
 
 
-def test_batched_cap_collision_matches_the_per_anchor_test():
+def test_end_test_rejects_a_cap_poking_past_the_start_by_1e_5():
+    # the back cap anchored at s0 = 1 - 1e-5 leaves the strip through its
+    # tip, which no even count of cap samples holds
+    curve = curve_from_source(SegmentSpec(20.0), n_samples=256)
+    fit = fit_topped_substrip(curve, M_HALF, scan_step=1.0 - 1e-5)
+    assert fit.candidates[1] == 1.0 - 1e-5 and not fit.feasible[1] and fit.feasible[2]
+
+
+def _unit(angle):
+    return np.column_stack([np.cos(angle), np.sin(angle)])
+
+
+HALF_DISK_CASES = [  # c_a, u_a, c_b, u_b, gap
+    # tangent caps: arcs facing each other at a centre gap of exactly 2,
+    # then side by side with only a flat-side corner in common
+    ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (-1.0, 0.0), 0.0),
+    ((0.0, 0.0), (1.0, 0.0), (0.0, 2.0), (1.0, 0.0), 0.0),
+    ((0.0, 0.0), (1.0, 0.0), (2.0 - 1e-3, 0.0), (-1.0, 0.0), -1e-3),
+    # coincident centres: opposite flat-side directions, then equal ones
+    ((0.3, -0.2), (1.0, 0.0), (0.3, -0.2), (-1.0, 0.0), 0.0),
+    ((0.3, -0.2), (0.6, 0.8), (0.3, -0.2), (0.6, 0.8), -1.0),
+    # one cap's arc tangent to the other's flat side
+    ((0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (1.0, 0.0), 0.0),
+    # flat sides on one line, back to back, sharing a stretch of it
+    ((0.0, 0.0), (1.0, 0.0), (0.0, 1.5), (-1.0, 0.0), 0.0),
+    # what the sampled tests missed: caps facing each other 1e-6 inside
+    # tangency, and a back cap at s0 = 1 - 1e-5 against the start's end
+    # half-disk on a straight spine
+    ((0.0, 0.0), (1.0, 0.0), (2.0 - 1e-6, 0.0), (-1.0, 0.0), -1e-6),
+    ((1.0 - 1e-5, 0.0), (-1.0, 0.0), (0.0, 0.0), (-1.0, 0.0), -1e-5),
+]
+
+
+def test_half_disk_gap_matches_the_dense_fill():
+    # the exact gap of two unit half-disks against a dense fill of both:
+    # interiors that meet give a gap below -1e-9, and the sampled
+    # boundaries' distance is within the fill spacing of max(gap, 0)
     rng = np.random.default_rng(17)
-    count = 2000
-
-    def unit(angle):
-        return np.column_stack([np.cos(angle), np.sin(angle)])
-
+    count, spacing = 2000, 1e-2
     c_a = rng.uniform(-1.0, 1.0, (count, 2))
-    c_b = c_a + rng.uniform(0.0, 2.5, count)[:, None] * unit(rng.uniform(0.0, 7.0, count))
-    u_a, u_b = unit(rng.uniform(0.0, 7.0, count)), unit(rng.uniform(0.0, 7.0, count))
-    special = np.array([  # c_a, u_a, c_b, u_b, collide
-        # coincident centers: opposite flat-side directions, then equal ones
-        [(0.3, -0.2), (1.0, 0.0), (0.3, -0.2), (-1.0, 0.0), (0, 0)],
-        [(0.3, -0.2), (0.6, 0.8), (0.3, -0.2), (0.6, 0.8), (1, 1)],
-        # facing each other at a gap of exactly 2, then just below it (by
-        # more than the 1 - cos(pi / 126) the probe rings resolve)
-        [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (-1.0, 0.0), (0, 0)],
-        [(0.0, 0.0), (1.0, 0.0), (2.0 - 1e-3, 0.0), (-1.0, 0.0), (1, 1)],
-        # one cap's arc tangent to the other's flat side
-        [(0.0, 0.0), (1.0, 0.0), (1.0, 0.5), (1.0, 0.0), (0, 0)],
-        # flat sides on one line, back to back, sharing a stretch of it
-        [(0.0, 0.0), (1.0, 0.0), (0.0, 1.5), (-1.0, 0.0), (0, 0)],
-    ])
+    c_b = c_a + rng.uniform(0.0, 2.5, count)[:, None] * _unit(rng.uniform(0.0, 7.0, count))
+    u_a, u_b = _unit(rng.uniform(0.0, 7.0, count)), _unit(rng.uniform(0.0, 7.0, count))
+    special = np.array([case[:4] for case in HALF_DISK_CASES])
     c_a, u_a, c_b, u_b = (np.vstack([special[:, k], x])
                           for k, x in enumerate((c_a, u_a, c_b, u_b)))
-    got = strips._caps_collide(c_a, u_a, c_b, u_b)
-    want = [ref.caps_collide(*args) for args in zip(c_a, u_a, c_b, u_b)]
-    assert got.tolist() == want
-    assert got[:len(special)].tolist() == special[:, 4, 0].astype(bool).tolist()
-    assert 0 < got.sum() < len(got)
+    gap = strips._half_disk_gap(c_a, u_a, c_b, u_b)
+    assert gap[:len(special)].tolist() == pytest.approx([case[4] for case in HALF_DISK_CASES],
+                                                        rel=0.0, abs=1e-12)
+    for k in range(len(special) + 200):
+        overlap, distance = ref.half_disks_meet(c_a[k], u_a[k], c_b[k], u_b[k], spacing)
+        assert gap[k] < -1e-9 if overlap else gap[k] > -spacing, k
+        assert abs(max(gap[k], 0.0) - distance) <= spacing, k
+    # the sampled rings collide only where the gap does, and miss no
+    # overlap deeper than their blind spot (the two misses among them)
+    collide = gap < -1e-9
+    rings = np.array([ref.caps_collide(*args) for args in zip(c_a, u_a, c_b, u_b)])
+    assert not (rings & ~collide).any()
+    assert (gap[collide & ~rings] >= -_blind_spot(ref.CAP_PROBE_POINTS)).all()
+    assert not rings[len(special) - 2] and 0 < collide.sum() < len(collide)
 
 
 REAR_FACING_END = PathSpec((("line", 10.0), ("arc", 1.2, math.pi), ("line", 3.0),
@@ -285,13 +341,14 @@ def test_fit_accepts_every_anchor_whose_caps_lie_in_the_strip():
     s0 = fit.candidates[~fit.feasible]
     p0, t0, n0 = curve.frames(s0)
     p1, t1, n1 = curve.frames(s0 + 0.5)
-    caps = np.concatenate([strips._cap_boundary(p0, t0, n0, -1.0, fit.cap_points),
-                           strips._cap_boundary(p1, t1, n1, +1.0, fit.cap_points)], axis=1)
+    caps = np.concatenate([strips._cap_boundary(p0, t0, n0, -1.0, 129),
+                           strips._cap_boundary(p1, t1, n1, +1.0, 129)], axis=1)
     strip, pts = build_strip_polygon(curve), caps.reshape(-1, 2)
     inside = contains_points(strip, pts)  # the brute-force crossing mask, bit for bit
     inside[~inside] = ref.contains_points(strip, pts[~inside], 1e-9)
     in_strip = inside.reshape(len(s0), -1).all(axis=1)
-    assert not (in_strip & ~strips._caps_collide(p0, -t0, p1, t1)).any()
+    apart = strips._half_disk_gap(p0, -t0, p1, t1) >= -1e-9
+    assert not (in_strip & apart).any()
 
 
 def test_fit_rejects_negative_length(ring20):
