@@ -36,13 +36,10 @@ from .classifier import (
     spine_window,
 )
 from .curves import (
-    ArcSpec,
-    CircleSpec,
     CurveKind,
     CurveValidationError,
     PathSpec,
     SampledSpec,
-    SegmentSpec,
     StripCurve,
     WindowSpec,
     curve_from_samples,

@@ -4,11 +4,12 @@ An open strip (or generalized annulus) of half-width 1 is the image of
 Psi(s, t) = gamma(s) + t nu(s) for a unit-speed C^{1,1} spine gamma with
 |curvature| <= 1, where nu is the left unit normal.  This module carries the
 sampled representation of such spines: uniform-arclength samples with
-normals, taken from a source with exact frames at any arclength
-(the analytic primitives segment, arc, circle and arc/line path, the spline
-``SampledSpec`` through a sample list, or a ``WindowSpec`` of either), plus
-a JSON file loader and the invariant validator that rejects spines the
-structure theorems do not cover (``StripCurve.validate``, the one test).
+normals, taken from a source with exact frames at any arclength (a
+``PathSpec`` of line and arc pieces, which every primitive of a curve file
+is, the spline ``SampledSpec`` through a sample list, or a ``WindowSpec``
+of either), plus a JSON file loader and the invariant validator that
+rejects spines the structure theorems do not cover (``StripCurve.validate``,
+the one test).
 
 Curve kinds: "finite", "semi_infinite", "infinite" (open strips; the
 infinite ones are realized on a finite window and re-truncated on demand)
@@ -28,13 +29,10 @@ import numpy as np
 from .geometry import first_segment_intersection
 
 __all__ = [
-    "ArcSpec",
-    "CircleSpec",
     "CurveKind",
     "CurveValidationError",
     "PathSpec",
     "SampledSpec",
-    "SegmentSpec",
     "StripCurve",
     "WindowSpec",
     "curve_from_samples",
@@ -56,7 +54,7 @@ CLOSURE_ULPS = 4.0
 MAX_SPINE_SCALE = 1e100
 # A sample list whose samples all lie within this fraction of its length of
 # the chord from its first sample to its last is straight: an unbounded one
-# is rebuilt as a segment of its window's length, as a segment would be.
+# is rebuilt as one line of its window's length, as a segment would be.
 STRAIGHT_RTOL = 1e-12
 
 
@@ -76,69 +74,7 @@ class CurveValidationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Analytic sources.  Each provides length, kind and an exact frame(s).
-
-@dataclass(frozen=True)
-class SegmentSpec:
-    """Straight spine along +x from the origin."""
-
-    length: float
-    kind: CurveKind = CurveKind.FINITE
-
-    def frame(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = np.asarray(s, dtype=float)
-        pts = np.column_stack([s, np.zeros_like(s)])
-        tan = np.tile([1.0, 0.0], (len(s), 1))
-        return pts, tan
-
-
-@dataclass(frozen=True)
-class CircleSpec:
-    """Full circle of radius R traversed CCW; spine length 2 pi R."""
-
-    radius: float
-
-    @property
-    def length(self) -> float:
-        return 2.0 * math.pi * self.radius
-
-    @property
-    def kind(self) -> CurveKind:
-        return CurveKind.ANNULUS
-
-    def frame(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = np.asarray(s, dtype=float)
-        ang = s / self.radius
-        pts = self.radius * np.column_stack([np.cos(ang), np.sin(ang)])
-        tan = np.column_stack([-np.sin(ang), np.cos(ang)])
-        return pts, tan
-
-
-@dataclass(frozen=True)
-class ArcSpec:
-    """Circular arc of radius R and signed subtended angle (CCW positive)."""
-
-    radius: float
-    angle: float
-
-    @property
-    def length(self) -> float:
-        return self.radius * abs(self.angle)
-
-    @property
-    def kind(self) -> CurveKind:
-        return CurveKind.FINITE
-
-    def frame(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # starts at the origin heading +x; center at (0, sgn * R)
-        s = np.asarray(s, dtype=float)
-        sgn = 1.0 if self.angle >= 0 else -1.0
-        phi = s / self.radius
-        pts = np.column_stack([self.radius * np.sin(phi),
-                               sgn * self.radius * (1.0 - np.cos(phi))])
-        tan = np.column_stack([np.cos(phi), sgn * np.sin(phi)])
-        return pts, tan
-
+# Spine sources.  Each provides length, kind and exact frames at any s.
 
 @dataclass(frozen=True)
 class PathSpec:
@@ -323,11 +259,6 @@ class StripCurve:
             s = s % self.length
         return _unit_frames(self.source, s)
 
-    def frame_at(self, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(point, tangent, normal) at arclength s; see ``frames``."""
-        p, t, n = self.frames(np.array([s]))
-        return p[0], t[0], n[0]
-
     def offset(self, level: float) -> np.ndarray:
         """The parallel polyline Psi(s, level) at all samples."""
         return self.points + level * self.normals
@@ -351,8 +282,9 @@ class StripCurve:
 
     def validate(self) -> list[str]:
         """Violated admissibility invariants (empty list = valid spine): the
-        curvature bound, an annulus' closure, then a simple strip boundary;
-        unit normals hold by construction (``_unit_frames``)."""
+        curvature bound, an annulus' closure, no unit-curvature run, then a
+        simple strip boundary; unit normals hold by construction
+        (``_unit_frames``)."""
         bad: list[str] = []
         kappa = np.abs(self.curvature())
         if kappa.max() > 1.0 + CURVATURE_SLACK:
@@ -367,6 +299,10 @@ class StripCurve:
             if gap > gap_tol or tgap > FRAME_TOL:
                 bad.append(f"annulus spine not closed: position gap {gap:.3e}, "
                            f"tangent gap {tgap:.3e}")
+        if not bad and (collapse := _collapsed_offset(self)) is not None:
+            bad.append("unit curvature: offset t={:+g} collapses to a point at "
+                       "s = {:.6f}, so Psi is not injective (arcs of radius 1 are "
+                       "refused)".format(*collapse))
         if not bad and (crossing := _boundary_crossing(self)) is not None:
             bad.append("strip boundary self-intersects: {} crosses {}".format(*crossing))
         return bad
@@ -380,6 +316,25 @@ class StripCurve:
         """Raise CurveValidationError listing the violated invariants, if any."""
         if self.violations:
             raise CurveValidationError(list(self.violations))
+
+
+def _collapsed_offset(curve: StripCurve) -> tuple[float, float] | None:
+    """The level and arclength of the first offset segment of rounding
+    length, or None.
+
+    Along a sample step of curvature +-1 the offset t = +-1 moves at speed
+    1 -+ kappa = 0: it collapses onto the arc's centre, whatever the angle,
+    and its segments are rounding noise (about 0.3 ulp of the coordinates
+    on unit arcs) that may or may not cross.  A radius of 1 + 1e-7 keeps
+    segments of 1e-7 ds, far above CLOSURE_ULPS ulps.
+    """
+    tol = CLOSURE_ULPS * np.finfo(float).eps * (float(np.abs(curve.points).max()) + 1.0)
+    for level in (1.0, -1.0):
+        step = np.diff(curve.offset(level), axis=0)
+        short = np.flatnonzero(np.hypot(step[:, 0], step[:, 1]) <= tol)
+        if len(short):
+            return level, float(short[0]) * curve.ds
+    return None
 
 
 def _boundary_crossing(curve: StripCurve) -> tuple[str, str] | None:
@@ -486,7 +441,7 @@ def curve_from_samples(samples: np.ndarray, kind: CurveKind) -> StripCurve:
 #   {"primitive": "segment", "length": 20}
 #   {"primitive": "segment", "kind": "infinite"}          (window chosen later)
 #   {"primitive": "circle", "radius": 5}                  (an annulus)
-#   {"primitive": "arc", "radius": 8, "angle": 1.2}
+#   {"primitive": "arc", "radius": 8, "angle": 1.2, "kind": "finite"}
 #   {"primitive": "path", "pieces": [["arc", 1.3, 1.5], ["line", 9.0]]}
 #   {"samples": [[x, y], ...], "kind": "finite"}
 
@@ -506,10 +461,17 @@ def _real(value, field: str) -> float:
     return x
 
 
-def _field(spec: dict, key: str, default=None) -> float:
+def _field(spec: dict, key: str, default=None, check=_real) -> float:
     if key not in spec and default is None:
         raise ValueError(f"curve spec needs a {key!r} entry")
-    return _real(spec.get(key, default), key)
+    return check(spec.get(key, default), key)
+
+
+def _positive(value, field: str) -> float:
+    x = _real(value, field)
+    if not x > 0.0:
+        raise ValueError(f"curve {field} must be > 0, got {x!r}")
+    return x
 
 
 def _kind(spec: dict) -> CurveKind:
@@ -518,13 +480,6 @@ def _kind(spec: dict) -> CurveKind:
         return CurveKind(raw)
     except (TypeError, ValueError):
         raise ValueError(f"unknown curve kind {raw!r}") from None
-
-
-def _positive(value, field: str) -> float:
-    x = _real(value, field)
-    if not x > 0.0:
-        raise ValueError(f"curve {field} must be > 0, got {x!r}")
-    return x
 
 
 def _path_pieces(raw) -> tuple[tuple, ...]:
@@ -549,8 +504,10 @@ def parse_curve(spec: dict) -> StripCurve:
     """Build a StripCurve from a parsed JSON object (see module docstring).
 
     Every number is checked once here: a non-numeric, non-finite or
-    overflowing (beyond MAX_SPINE_SCALE) length, radius, angle or sample
-    raises ValueError naming its field.
+    overflowing (beyond MAX_SPINE_SCALE) length, radius, angle or sample,
+    and a length or radius that is not positive, raises ValueError naming
+    its field.  Each primitive is a one-piece path: a segment is one line,
+    an arc one arc and a circle the annulus of one arc turning 2 pi.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"curve spec must be a JSON object, got {type(spec).__name__}")
@@ -559,17 +516,18 @@ def parse_curve(spec: dict) -> StripCurve:
         kind = _kind(spec) if prim != "circle" else CurveKind.ANNULUS
         if prim == "segment":
             window = kind in (CurveKind.SEMI_INFINITE, CurveKind.INFINITE)
-            length = _field(spec, "length", PROVISIONAL_WINDOW if window else None)
-            source = SegmentSpec(length=length, kind=kind)
+            length = _field(spec, "length", PROVISIONAL_WINDOW if window else None, _positive)
+            pieces = (("line", length),)
         elif prim == "circle":
-            source = CircleSpec(radius=_field(spec, "radius"))
+            pieces = (("arc", _field(spec, "radius", check=_positive), 2.0 * math.pi),)
         elif prim == "arc":
-            source = ArcSpec(radius=_field(spec, "radius"), angle=_field(spec, "angle"))
+            radius = _field(spec, "radius", check=_positive)
+            pieces = (("arc", radius, _field(spec, "angle")),)
         elif prim == "path":
-            source = PathSpec(pieces=_path_pieces(spec.get("pieces")), kind=kind)
+            pieces = _path_pieces(spec.get("pieces"))
         else:
             raise ValueError(f"unknown primitive {prim!r}")
-        return curve_from_source(source)
+        return curve_from_source(PathSpec(pieces, kind))
     if "samples" in spec:
         return curve_from_samples(spec["samples"], kind=_kind(spec))
     raise ValueError("curve spec needs a 'primitive' or 'samples' entry")
@@ -599,20 +557,18 @@ def _on_chord(points: np.ndarray, length: float) -> bool:
 def retruncate(curve: StripCurve, target_length: float) -> StripCurve:
     """Realize a semi-infinite/infinite spine on a window of the given length.
 
-    A straight source (a segment, a path of line pieces only, or a sample
-    list within STRAIGHT_RTOL of its chord) is rebuilt as a segment of the
-    target length; any other source is windowed (from s=0 for
-    semi-infinite, centered for infinite) and a spine shorter than the
-    target is refused with ValueError.  Finite and annulus spines are
-    returned untouched.
+    A straight source (a path of line pieces only, or a sample list within
+    STRAIGHT_RTOL of its chord) is rebuilt as one line of the target
+    length; any other source is windowed (from s=0 for semi-infinite,
+    centered for infinite) and a spine shorter than the target is refused
+    with ValueError.  Finite and annulus spines are returned untouched.
     """
     if curve.kind not in (CurveKind.SEMI_INFINITE, CurveKind.INFINITE):
         return curve
     src = curve.source
-    if isinstance(src, SegmentSpec) or (
-            isinstance(src, PathSpec) and all(p[0] == "line" for p in src.pieces)) or (
+    if (isinstance(src, PathSpec) and all(p[0] == "line" for p in src.pieces)) or (
             isinstance(src, SampledSpec) and _on_chord(src._p, curve.length)):
-        return curve_from_source(SegmentSpec(length=target_length, kind=curve.kind))
+        return curve_from_source(PathSpec((("line", target_length),), curve.kind))
     if target_length > curve.length:
         raise ValueError(f"{curve.kind.value} spine of length {curve.length:.6f} is "
                          f"shorter than its truncation window {target_length:.6f}")

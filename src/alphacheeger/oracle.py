@@ -282,7 +282,7 @@ def oracle_strip(curve: StripCurve, alpha,
         s0 = fit.widest[0]  # nearest s = 0: far out, arclength is quantized
         shape = build_topped_substrip_on_curve(dense, s0, m_star, segments)
         # measured next to the origin: far from it the shoelace sum cancels
-        x0, y0 = dense.frame_at(s0)[0]
+        x0, y0 = dense.frames(np.array([s0]))[0][0]
         area, perim = measure(translate_shape(shape, -x0, -y0))
         h_top = perim / area ** (1.0 / a)
         if best is None or h_top < best.h_alpha:

@@ -86,11 +86,12 @@ def build_strip_polygon(curve: StripCurve) -> PolyShape:
     return PolyShape(_ccw(np.vstack([lo, hi[::-1]])))
 
 
-def _offset_run(curve: StripCurve, level: float, s_a: float,
-                s_b: float) -> np.ndarray:
-    """Offset polyline from s_a to s_b inclusive: exact frames at both ends,
-    the curve's stored samples strictly in between.  s_b may exceed the spine
-    length on annulus spines (wraps)."""
+def _offset_run(curve: StripCurve, level: float, s_a: float, s_b: float,
+                points: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Offset polyline from s_a to s_b inclusive: the caller's exact frames
+    at both ends (``points`` and ``normals``, each (2, 2), at s_a then s_b),
+    the curve's stored samples strictly in between.  s_b may exceed the
+    spine length on annulus spines (wraps)."""
     if s_b < s_a:
         raise ValueError(f"need s_a <= s_b, got [{s_a}, {s_b}]")
     ds = curve.ds
@@ -103,9 +104,8 @@ def _offset_run(curve: StripCurve, level: float, s_a: float,
         mid = off[idx % n] if curve.kind is CurveKind.ANNULUS else off[idx]
     else:
         mid = np.empty((0, 2))
-    p_a, _, n_a = curve.frame_at(s_a)
-    p_b, _, n_b = curve.frame_at(s_b)
-    return np.vstack([[p_a + level * n_a], mid, [p_b + level * n_b]])
+    return np.vstack([[points[0] + level * normals[0]], mid,
+                      [points[1] + level * normals[1]]])
 
 
 def _cap_boundary(center: np.ndarray, tangent: np.ndarray, normal: np.ndarray,
@@ -138,12 +138,11 @@ def build_topped_substrip_on_curve(curve: StripCurve, s0: float, m: float,
     s1 = s0 + m
     if not wrap and (s0 < -1e-9 or s1 > curve.length + 1e-9):
         raise ValueError(f"substrip [{s0}, {s1}] outside spine [0, {curve.length}]")
-    p0, t0, n0 = curve.frame_at(s0)
-    p1, t1, n1 = curve.frame_at(s1)
-    bottom = _offset_run(curve, -1.0, s0, s1)
-    top = _offset_run(curve, +1.0, s0, s1)
-    cap_fwd = _cap_boundary(p1, t1, n1, +1.0, segments + 1)[1:]
-    cap_back = _cap_boundary(p0, t0, n0, -1.0, segments + 1)[::-1][1:-1]
+    p, tan, nor = curve.frames(np.array([s0, s1]))
+    bottom = _offset_run(curve, -1.0, s0, s1, p, nor)
+    top = _offset_run(curve, +1.0, s0, s1, p, nor)
+    cap_fwd = _cap_boundary(p[1], tan[1], nor[1], +1.0, segments + 1)[1:]
+    cap_back = _cap_boundary(p[0], tan[0], nor[0], -1.0, segments + 1)[::-1][1:-1]
     boundary = np.vstack([bottom, cap_fwd, top[::-1][1:], cap_back])
     area = signed_area(boundary)
     if area <= 0.0:
@@ -151,24 +150,22 @@ def build_topped_substrip_on_curve(curve: StripCurve, s0: float, m: float,
     return PolyShape(boundary)
 
 
-def _end_offset_crossing(curve: StripCurve, end: int, level: float,
-                         depth: float) -> float:
+def _end_offset_crossing(curve: StripCurve, end: int, base: np.ndarray,
+                         tangent: np.ndarray, level: float, depth: float) -> float:
     """Arclength s where the offset polyline Psi(s, level) reaches signed
     distance ``depth`` from the end line, measured along the inward tangent.
 
-    ``end`` is 0 for the s=0 end, 1 for the s=L end.  Monotone near the ends
-    for admissible spines; solved on the samples with linear interpolation.
-    For depth <= 1 the crossing lies within arclength pi/2 of the end (see
-    ``cut_corner_strip_measures``), so only the samples that far out (plus
-    two steps) are scanned first; the whole offset is the fallback.
+    ``end`` is 0 for the s=0 end, 1 for the s=L end; ``base`` and
+    ``tangent`` are the spine's point and unit tangent there.  Monotone near
+    the ends for admissible spines; solved on the samples with linear
+    interpolation.  For depth <= 1 the crossing lies within arclength pi/2 of
+    the end (see ``cut_corner_strip_measures``), so only the samples that far
+    out (plus two steps) are scanned first; the whole offset is the fallback.
     """
     pts, nor = curve.points, curve.normals
-    if end == 0:
-        base, tan, _ = curve.frame_at(0.0)
-        inward = tan
-    else:
-        base, tan, _ = curve.frame_at(curve.length)
-        inward = -tan
+    inward = tangent
+    if end == 1:
+        inward = -tangent
         pts, nor = pts[::-1], nor[::-1]
     n = len(pts)
     near = min(int(0.5 * math.pi / curve.ds) + 3, n)
@@ -214,30 +211,29 @@ def build_cut_corner_strip(curve: StripCurve, t: float,
     if segments < 4:
         raise ValueError(f"need >= 4 segments per arc, got {segments}")
 
-    corners = {}
-    for end in (0, 1):
-        s_end = 0.0 if end == 0 else curve.length
-        e_pt, e_tan, _ = curve.frame_at(s_end)
-        inward = e_tan if end == 0 else -e_tan
-        for side in (-1.0, +1.0):
-            level = side * (1.0 - t)
-            s_c = _end_offset_crossing(curve, end, level, t)
-            c_pt, _, c_nor = curve.frame_at(s_c)
-            center = c_pt + level * c_nor
-            # tangency foot on the end line: drop the inward component
-            foot = center - ((center - e_pt) @ inward) * inward
-            touch = c_pt + side * c_nor  # tangency on the offset boundary
-            corners[(end, side)] = (center, foot, touch, s_c)
+    # corners (end 0, side -1), (0, +1), (1, -1), (1, +1); one frames call
+    # for the ends and one for the four crossings, which also end the runs
+    e_pts, e_tans, _ = curve.frames(np.array([0.0, curve.length]))
+    keys = [(end, side) for end in (0, 1) for side in (-1.0, +1.0)]
+    s_c = np.array([_end_offset_crossing(curve, end, e_pts[end], e_tans[end],
+                                         side * (1.0 - t), t) for end, side in keys])
+    c_pts, _, c_nors = curve.frames(s_c)
+    corners = []
+    for (end, side), c_pt, c_nor in zip(keys, c_pts, c_nors):
+        inward = e_tans[0] if end == 0 else -e_tans[1]
+        center = c_pt + side * (1.0 - t) * c_nor  # on the level +-(1 - t) offset
+        # tangency foot on the end line: drop the inward component
+        foot = center - ((center - e_pts[end]) @ inward) * inward
+        touch = c_pt + side * c_nor  # tangency on the offset boundary
+        corners.append((center, foot, touch))
 
-    c_bl, f_bl, o_bl, s_bl = corners[(0, -1.0)]
-    c_br, f_br, o_br, s_br = corners[(1, -1.0)]
-    c_tr, f_tr, o_tr, s_tr = corners[(1, +1.0)]
-    c_tl, f_tl, o_tl, s_tl = corners[(0, +1.0)]
+    (c_bl, f_bl, o_bl), (c_tl, f_tl, o_tl), (c_br, f_br, o_br), (c_tr, f_tr, o_tr) = corners
+    s_bl, s_tl, s_br, s_tr = s_c
     if s_bl >= s_br or s_tl >= s_tr:
         raise ValueError(f"spine too short for corner radius {t}")
 
-    bottom = _offset_run(curve, -1.0, s_bl, s_br)
-    top = _offset_run(curve, +1.0, s_tl, s_tr)
+    bottom = _offset_run(curve, -1.0, s_bl, s_br, c_pts[[0, 2]], c_nors[[0, 2]])
+    top = _offset_run(curve, +1.0, s_tl, s_tr, c_pts[[1, 3]], c_nors[[1, 3]])
     arc_br = _arc_between(c_br, t, o_br, f_br, segments)[1:]
     arc_tr = _arc_between(c_tr, t, f_tr, o_tr, segments)
     arc_tl = _arc_between(c_tl, t, o_tl, f_tl, segments)[1:]

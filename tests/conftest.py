@@ -19,9 +19,8 @@ import pytest
 from hypothesis import settings
 
 from alphacheeger import (
-    CircleSpec,
+    CurveKind,
     PathSpec,
-    SegmentSpec,
     curve_from_source,
 )
 
@@ -112,7 +111,7 @@ def criterion(request):
 
 @pytest.fixture(scope="session")
 def straight_spine():
-    return curve_from_source(SegmentSpec(16.0))
+    return curve_from_source(PathSpec((("line", 16.0),)))
 
 
 @pytest.fixture(scope="session")
@@ -143,4 +142,5 @@ def gentle_spine():
 @pytest.fixture(scope="session")
 def ring20():
     # Circular annulus spine of length exactly 20.
-    return curve_from_source(CircleSpec(20.0 / (2.0 * math.pi)))
+    return curve_from_source(PathSpec((("arc", 20.0 / (2.0 * math.pi), 2.0 * math.pi),),
+                                      CurveKind.ANNULUS))

@@ -5,10 +5,11 @@ segment pair and every point against every edge; the fit scan one anchor
 at a time, its caps sampled and tested against all spine segments near
 them (the tube's distance test and end test) and against each other
 (``caps_collide``), which is the sampled algorithm the exact half-disk
-test replaced; a dense fill of two half-disks (``half_disks_meet``); and
-the corner crossing of the cut-corner strip scanned over the whole offset.
-The bit-identity tests compare the indexed, localized and batched kernels
-in ``alphacheeger`` with them.
+test replaced; a dense fill of two half-disks (``half_disks_meet``); the
+corner crossing of the cut-corner strip scanned over the whole offset; and
+the closed-form frames of the segment, arc and circle sources that the
+one-piece paths replaced.  The bit-identity tests compare the indexed,
+localized and batched kernels in ``alphacheeger`` with them.
 
 The two extended-precision minimizers (``min_cut_corner_ratio``,
 ``min_stadium_ratio``) are the references for the corner-radius and
@@ -145,6 +146,28 @@ def first_segment_intersection(path_a, path_b=None, closed_a=False, closed_b=Fal
     return None
 
 
+def segment_frame(s):
+    """Points and tangents of the straight spine along +x from the origin."""
+    s = np.asarray(s, dtype=float)
+    return np.column_stack([s, np.zeros_like(s)]), np.tile([1.0, 0.0], (len(s), 1))
+
+
+def circle_frame(radius, s):
+    """The circle of radius R traversed CCW from (R, 0)."""
+    ang = np.asarray(s, dtype=float) / radius
+    return (radius * np.column_stack([np.cos(ang), np.sin(ang)]),
+            np.column_stack([-np.sin(ang), np.cos(ang)]))
+
+
+def arc_frame(radius, angle, s):
+    """The arc of radius R and signed angle from the origin heading +x;
+    its centre is (0, sgn R)."""
+    sgn = 1.0 if angle >= 0 else -1.0
+    phi = np.asarray(s, dtype=float) / radius
+    return (np.column_stack([radius * np.sin(phi), sgn * radius * (1.0 - np.cos(phi))]),
+            np.column_stack([np.cos(phi), sgn * np.sin(phi)]))
+
+
 def _frame_at(curve, s):
     if curve.kind is CurveKind.ANNULUS:
         s = s % curve.length
@@ -153,15 +176,12 @@ def _frame_at(curve, s):
     return pts[0], t, np.array([-t[1], t[0]])
 
 
-def end_offset_crossing(curve, end, level, depth):
+def end_offset_crossing(curve, end, base, tangent, level, depth):
     """strips._end_offset_crossing scanning the whole offset polyline."""
     pts = curve.offset(level)
-    if end == 0:
-        base, tan, _ = curve.frame_at(0.0)
-        inward = tan
-    else:
-        base, tan, _ = curve.frame_at(curve.length)
-        inward = -tan
+    inward = tangent
+    if end == 1:
+        inward = -tangent
         pts = pts[::-1]
     g = (pts - base) @ inward
     idx = int(np.argmax(g >= depth))

@@ -16,8 +16,9 @@ import pytest
 
 from alphacheeger import (
     CaseTag,
-    CircleSpec,
+    CurveKind,
     Ordering,
+    PathSpec,
     alpha_bar,
     annulus_substrip_wins,
     build_cut_corner_rectangle,
@@ -224,7 +225,8 @@ def _ring(radius, mode):
     # CI keeps the feasibility scan coarse; every tested cell sits far from
     # the feasibility threshold, so the decision is resolution-independent
     ds = 2.0 * math.pi * radius / 64.0 if mode == "ci" else None
-    return curve_from_source(CircleSpec(radius), ds=ds)
+    ring = PathSpec((("arc", radius, 2.0 * math.pi),), CurveKind.ANNULUS)
+    return curve_from_source(ring, ds=ds)
 
 
 def test_criterion_08_annulus_decision(criterion, mode):

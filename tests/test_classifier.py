@@ -7,11 +7,9 @@ import pytest
 import alphacheeger
 from alphacheeger import (
     CaseTag,
-    CircleSpec,
     CurveKind,
     CurveValidationError,
     PathSpec,
-    SegmentSpec,
     SolutionKind,
     classify_annulus,
     classify_open_strip,
@@ -156,14 +154,14 @@ def test_straight_finite_spine_delegates_to_rectangle(straight_spine):
 
 
 def test_straight_infinite_spine_delegates_to_sentinel():
-    spine = curve_from_source(SegmentSpec(64.0, kind=CurveKind.INFINITE))
+    spine = curve_from_source(PathSpec((("line", 64.0),), CurveKind.INFINITE))
     assert classify_open_strip(spine, 1.5) == classify_rectangle(math.inf, 1.5)
 
 
 def test_short_spines_are_refused_even_when_straight():
     # classify_rectangle(10, .) would answer, but the strip entry point
     # enforces the structural threshold 9 pi / 2 on every spine
-    spine = curve_from_source(SegmentSpec(10.0))
+    spine = curve_from_source(PathSpec((("line", 10.0),)))
     with pytest.raises(ValueError, match="below the supported threshold"):
         classify_open_strip(spine, 1.5)
     bent = curve_from_source(PathSpec((("arc", 2.0, 3.0),)))
@@ -175,7 +173,7 @@ def test_semi_infinite_spine_truncates_to_safe_window():
     alpha = 1.5
     runs = []
     for declared in (20.0, 80.0):
-        spine = curve_from_source(SegmentSpec(declared, kind=CurveKind.SEMI_INFINITE))
+        spine = curve_from_source(PathSpec((("line", declared),), CurveKind.SEMI_INFINITE))
         runs.append(classify_open_strip(spine, alpha))
     first, second = runs
     # the declared sample length is irrelevant: both realize the same window
@@ -191,7 +189,7 @@ def test_semi_infinite_spine_truncates_to_safe_window():
 
 def test_spine_window_is_the_window_classified(u_spine):
     assert spine_window(u_spine, 1.5) is u_spine
-    ring = curve_from_source(CircleSpec(5.0))
+    ring = curve_from_source(PathSpec((("arc", 5.0, 2.0 * math.pi),), CurveKind.ANNULUS))
     assert spine_window(ring, 1.5) is ring
     bent = curve_from_source(PathSpec((("line", 30.0), ("arc", 3.0, 1.5), ("line", 60.0)),
                                       kind=CurveKind.SEMI_INFINITE))
@@ -336,7 +334,8 @@ def test_annulus_tie_carries_both_solutions(ring20_tie):
 
 def test_annulus_spine_below_threshold_is_refused():
     with pytest.raises(ValueError, match="below the supported"):
-        classify_annulus(curve_from_source(CircleSpec(2.0)), 1.5)
+        classify_annulus(curve_from_source(
+            PathSpec((("arc", 2.0, 2.0 * math.pi),), CurveKind.ANNULUS)), 1.5)
 
 
 def test_evidence_replays_to_the_reported_branch(u_spine, ring20_whole,

@@ -368,19 +368,42 @@ def test_rect_argv_fuzz_exits_cleanly(length, sides, alpha, verify):
                 assert math.isfinite(float(token)), line
 
 
-@pytest.mark.parametrize("spec, field", [
-    ({"primitive": "segment", "length": 1e308}, "length"),
-    ({"primitive": "circle", "radius": 1e200}, "radius"),
+@pytest.mark.parametrize("spec, message", [
+    ({"primitive": "segment", "length": 1e308}, "length must be finite with magnitude"),
+    ({"primitive": "circle", "radius": 1e200}, "radius must be finite with magnitude"),
+    ({"primitive": "arc", "radius": 8, "angle": 1e200}, "angle must be finite with magnitude"),
+    ({"primitive": "segment", "length": 0}, "length must be > 0, got 0.0"),
+    ({"primitive": "segment", "length": -20}, "length must be > 0, got -20.0"),
+    ({"primitive": "circle", "radius": -5}, "radius must be > 0, got -5.0"),
+    ({"primitive": "circle", "radius": 0}, "radius must be > 0, got 0.0"),
+    ({"primitive": "arc", "radius": -8, "angle": 1.2}, "radius must be > 0, got -8.0"),
 ])
-def test_strip_names_an_overflowing_curve_field(run, curve_file, spec, field):
-    path = curve_file("huge.json", spec)
+def test_strip_names_an_out_of_range_curve_field(run, curve_file, spec, message):
+    path = curve_file("bad.json", spec)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy overflow would raise here
         code, out, err = run("strip", path, "--alpha", "1.5")
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1
-    assert err.startswith(f"error: curve {field} must be finite with magnitude")
+    assert err.startswith(f"error: curve {message}")
+
+
+@pytest.mark.parametrize("tails", [False, True], ids=["alone", "with_lines"])
+@pytest.mark.parametrize("angle", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, math.pi])
+def test_strip_refuses_every_unit_curvature_arc(run, curve_file, angle, tails):
+    # on an arc of radius 1 the offset t = +1 collapses onto the centre, so
+    # Psi is not injective; whether the collapsed offset crosses itself is
+    # rounding, so the rule is checked before the boundary crossing
+    pieces = [["arc", 1.0, angle]]
+    if tails:
+        pieces = [["line", 8.0], *pieces, ["line", 8.0]]
+    path = curve_file("unit.json", {"primitive": "path", "pieces": pieces})
+    code, out, err = run("strip", path, "--alpha", "1.5")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: unit curvature: offset t=+1 collapses to a point at s = ")
+    assert err.endswith(", so Psi is not injective (arcs of radius 1 are refused)\n")
 
 
 def test_sampled_ellipse_passes_verify(run, curve_file):

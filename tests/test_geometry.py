@@ -22,7 +22,7 @@ from alphacheeger import (
     topped_substrip_measures,
     translate_shape,
 )
-from alphacheeger import CircleSpec, PathSpec, curve_from_source
+from alphacheeger import CurveKind, PathSpec, curve_from_source
 from alphacheeger import geometry
 from alphacheeger.geometry import _unit_arc, first_segment_intersection
 
@@ -332,7 +332,8 @@ def test_first_segment_intersection_matches_the_brute_force_pair():
     assert first_segment_intersection(eight, closed_a=True) == (500, 999)
     assert ref.first_segment_intersection(eight, closed_a=True) == (500, 999)
     g_shape = curve_from_source(PathSpec((("line", 4.0), ("arc", 1.5, 1.9 * math.pi))))
-    for curve in (curve_from_source(CircleSpec(3.0)), g_shape):
+    ring = curve_from_source(PathSpec((("arc", 3.0, 2.0 * math.pi),), CurveKind.ANNULUS))
+    for curve in (ring, g_shape):
         lo, hi = curve.offset(-1.0)[:-1], curve.offset(+1.0)[:-1]
         for case in ((lo, None, True, False), (hi, None, True, False),
                      (lo, hi, True, True), (lo, hi, False, False)):

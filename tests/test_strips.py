@@ -9,12 +9,9 @@ import numpy as np
 import pytest
 
 from alphacheeger import (
-    ArcSpec,
-    CircleSpec,
     CurveKind,
     CurveValidationError,
     PathSpec,
-    SegmentSpec,
     build_cut_corner_rectangle,
     build_cut_corner_strip,
     build_strip_polygon,
@@ -42,6 +39,11 @@ from alphacheeger.strips import CONTAINMENT_RTOL
 import reference_kernels as ref
 
 M_HALF = math.pi / 2  # m_of_alpha(1.5)
+
+
+def _ring(radius):
+    """The circle of the given radius, as the ``circle`` primitive parses it."""
+    return PathSpec((("arc", radius, 2.0 * math.pi),), CurveKind.ANNULUS)
 
 
 def test_straight_strip_polygon_is_the_exact_rectangle(straight_spine):
@@ -86,7 +88,7 @@ def test_cut_corner_strip_matches_rectangle_builder_on_straight_spines(straight_
 
 
 def test_fit_interval_on_a_straight_spine():
-    curve = curve_from_source(SegmentSpec(20.0))
+    curve = curve_from_source(PathSpec((("line", 20.0),)))
     fit = fit_topped_substrip(curve, M_HALF)
     assert fit.any_feasible
     ivs = fit.intervals
@@ -99,14 +101,14 @@ def test_fit_interval_on_a_straight_spine():
 
 
 def test_fit_is_empty_when_the_substrip_cannot_fit():
-    curve = curve_from_source(SegmentSpec(20.0))
+    curve = curve_from_source(PathSpec((("line", 20.0),)))
     fit = fit_topped_substrip(curve, 25.0)
     assert not fit.any_feasible
     assert fit.intervals == []
 
 
 def test_placements_share_measures_straight_spine():
-    curve = curve_from_source(SegmentSpec(20.0))
+    curve = curve_from_source(PathSpec((("line", 20.0),)))
     fit = fit_topped_substrip(curve, M_HALF)
     lo, hi = fit.intervals[0]
     meas = [measure(build_topped_substrip_on_curve(curve, s0, M_HALF, 2000))
@@ -144,7 +146,7 @@ def test_placements_share_measures_curved_spine(mode):
 def test_annulus_cap_collision_threshold():
     # on a circular spine of radius R the two caps collide once the spare
     # arclength drops below 2 R asin(1/R)
-    ring = curve_from_source(CircleSpec(5.0))
+    ring = curve_from_source(_ring(5.0))
     spare = 2.0 * 5.0 * math.asin(1.0 / 5.0)
     step = ring.length / 32.0  # every anchor is equivalent by symmetry
     assert fit_topped_substrip(ring, ring.length - spare - 0.05,
@@ -156,7 +158,7 @@ def test_annulus_cap_collision_threshold():
 def test_caps_facing_each_other_collide_just_inside_tangency():
     # across the ring's spare arc the caps touch at centre distance 2; at
     # 2 - 1e-6 they overlap by 1e-6, which the sampled probe rings missed
-    ring = curve_from_source(CircleSpec(5.0))
+    ring = curve_from_source(_ring(5.0))
     step = ring.length / 32.0
     for dist, fits in ((2.0 - 1e-6, False), (2.0 + 1e-6, True)):
         spare = 2.0 * 5.0 * math.asin(0.5 * dist / 5.0)
@@ -216,8 +218,8 @@ def test_fit_matches_the_anchor_by_anchor_scan(name, u_spine, hook_spine, gentle
         cases = _random_fit_cases()
     else:
         cases = [{
-            "ring4": (curve_from_source(CircleSpec(4.0)), M_HALF),
-            "ring6": (curve_from_source(CircleSpec(6.0)), M_HALF),
+            "ring4": (curve_from_source(_ring(4.0)), M_HALF),
+            "ring6": (curve_from_source(_ring(6.0)), M_HALF),
             "u": (u_spine, M_HALF),
             "hook": (hook_spine, M_HALF),
             "gentle": (gentle_spine, gentle_spine.length - 2.0 - 0.6 * (math.pi - 2.0)),
@@ -256,7 +258,7 @@ def test_end_test_slack_is_relative_to_the_length_only():
     # sampled point 2.2e-4) is outside the strip, although the
     # anchor-by-anchor scan's slack at 256 samples (1e-9 L + ds^2 / 8 =
     # 7.6e-4) takes it in
-    curve = curve_from_source(SegmentSpec(20.0), n_samples=256)
+    curve = curve_from_source(PathSpec((("line", 20.0),)), n_samples=256)
     step = 1.0 - 3e-4
     fit = fit_topped_substrip(curve, M_HALF, scan_step=step)
     assert fit.candidates[1] == step and not fit.feasible[1] and fit.feasible[2]
@@ -266,7 +268,7 @@ def test_end_test_slack_is_relative_to_the_length_only():
 def test_end_test_rejects_a_cap_poking_past_the_start_by_1e_5():
     # the back cap anchored at s0 = 1 - 1e-5 leaves the strip through its
     # tip, which no even count of cap samples holds
-    curve = curve_from_source(SegmentSpec(20.0), n_samples=256)
+    curve = curve_from_source(PathSpec((("line", 20.0),)), n_samples=256)
     fit = fit_topped_substrip(curve, M_HALF, scan_step=1.0 - 1e-5)
     assert fit.candidates[1] == 1.0 - 1e-5 and not fit.feasible[1] and fit.feasible[2]
 
@@ -409,8 +411,20 @@ def test_curvature_violation_is_reported_by_validate():
     assert any("curvature bound violated" in p for p in problems)
 
 
+def test_unit_curvature_is_one_rule_and_a_radius_above_one_passes():
+    # radius 1: the offset t = +1 collapses, refused before any crossing test;
+    # radius 1 + 1e-7 keeps offset segments of 1e-7 ds and validates
+    unit = curve_from_source(PathSpec((("line", 8.0), ("arc", 1.0, 2.0), ("line", 8.0))))
+    [problem] = unit.validate()
+    assert problem.startswith("unit curvature: offset t=+1 collapses to a point at s = ")
+    s = float(problem.split("s = ")[1].split(",")[0])
+    assert 8.0 <= s <= 10.0
+    near = PathSpec((("line", 8.0), ("arc", 1.0000001, 3.0), ("line", 8.0)))
+    assert curve_from_source(near).validate() == []
+
+
 def test_retruncate_analytic_and_sampled():
-    infinite = curve_from_source(SegmentSpec(64.0, kind=CurveKind.INFINITE))
+    infinite = curve_from_source(PathSpec((("line", 64.0),), CurveKind.INFINITE))
     cut = retruncate(infinite, 40.0)
     assert cut.length == pytest.approx(40.0, rel=1e-12)
 
@@ -422,12 +436,12 @@ def test_retruncate_analytic_and_sampled():
         cut = retruncate(curve, 30.0)
         assert cut.length == 30.0
         start = 0.5 * (curve.length - 30.0)
-        for s in (0.0, 11.3, 30.0):
-            assert np.array_equal(cut.frame_at(s)[0], curve.frame_at(s + start)[0])
+        s = np.array([0.0, 11.3, 30.0])
+        assert np.array_equal(cut.frames(s)[0], curve.frames(s + start)[0])
         with pytest.raises(ValueError, match="shorter than its truncation window"):
             retruncate(curve, curve.length + 1.0)
 
-    finite = curve_from_source(SegmentSpec(20.0))
+    finite = curve_from_source(PathSpec((("line", 20.0),)))
     assert retruncate(finite, 10.0) is finite  # finite spines are never shortened
 
 
@@ -443,28 +457,49 @@ def test_densify_upsamples_every_source(u_spine):
     assert finer.source is sampled.source and finer.length == sampled.length
 
 
-def test_parse_curve_primitives():
-    seg = parse_curve({"primitive": "segment", "length": 20})
-    assert seg.kind is CurveKind.FINITE
-    assert seg.length == pytest.approx(20.0, rel=1e-12)
+@pytest.mark.parametrize("spec, pieces, kind, length", [
+    ({"primitive": "segment", "length": 20}, (("line", 20.0),), CurveKind.FINITE, 20.0),
+    ({"primitive": "segment", "kind": "infinite"}, (("line", 64.0),), CurveKind.INFINITE,
+     64.0),
+    ({"primitive": "circle", "radius": 5}, (("arc", 5.0, 2.0 * math.pi),),
+     CurveKind.ANNULUS, 10.0 * math.pi),
+    ({"primitive": "arc", "radius": 8, "angle": 1.2}, (("arc", 8.0, 1.2),),
+     CurveKind.FINITE, 9.6),
+    ({"primitive": "arc", "radius": 8, "angle": -1.2, "kind": "semi_infinite"},
+     (("arc", 8.0, -1.2),), CurveKind.SEMI_INFINITE, 9.6),
+    ({"primitive": "path", "pieces": [["arc", 1.3, 1.5], ["line", 9.0]]},
+     (("arc", 1.3, 1.5), ("line", 9.0)), CurveKind.FINITE, 1.3 * 1.5 + 9.0),
+], ids=["segment", "infinite_segment", "circle", "arc", "arc_with_kind", "path"])
+def test_parse_curve_primitives(spec, pieces, kind, length):
+    # every primitive is a path; segment, arc and circle have one piece
+    curve = parse_curve(spec)
+    assert curve.source == PathSpec(pieces, kind)
+    assert curve.kind is kind
+    assert curve.length == pytest.approx(length, rel=1e-12)
 
-    ring = parse_curve({"primitive": "circle", "radius": 5})
-    assert ring.kind is CurveKind.ANNULUS
-    assert ring.length == pytest.approx(10 * math.pi, rel=1e-9)
 
-    arc = parse_curve({"primitive": "arc", "radius": 8, "angle": 1.2})
-    assert arc.length == pytest.approx(9.6, rel=1e-9)
-
-    path = parse_curve(
-        {"primitive": "path", "pieces": [["arc", 1.3, 1.5], ["line", 9.0]]})
-    assert path.length == pytest.approx(1.3 * 1.5 + 9.0, rel=1e-9)
-
-    inf = parse_curve({"primitive": "segment", "kind": "infinite"})
-    assert inf.kind is CurveKind.INFINITE
+@pytest.mark.parametrize("radius", [1.5, 20.0 / (2.0 * math.pi), 5.0, 8.0])
+def test_primitive_paths_match_the_closed_forms(radius):
+    # a one-line path is the segment's closed form bit for bit; arcs and the
+    # circle agree within 4 ulps of R, the circle once turned by -pi/2 and
+    # lifted by R (its path starts at the origin heading +x)
+    s = np.linspace(0.0, 16.0, 20_001)
+    for got, want in zip(PathSpec((("line", 16.0),)).frame(s), ref.segment_frame(s)):
+        assert np.array_equal(got, want)
+    tol = 4.0 * np.spacing(radius)
+    for angle in (2.0, -1.2, math.pi):
+        s = np.linspace(0.0, radius * abs(angle), 20_001)
+        for got, want in zip(PathSpec((("arc", radius, angle),)).frame(s),
+                             ref.arc_frame(radius, angle, s)):
+            assert np.abs(got - want).max() <= tol
+    s = np.linspace(0.0, 2.0 * math.pi * radius, 20_001)
+    (p, tan), (cp, ctan) = _ring(radius).frame(s), ref.circle_frame(radius, s)
+    assert np.abs(p - np.column_stack([cp[:, 1], radius - cp[:, 0]])).max() <= tol
+    assert np.abs(tan - np.column_stack([ctan[:, 1], -ctan[:, 0]])).max() <= tol
 
 
 def test_parse_curve_samples_form():
-    pts = curve_from_source(ArcSpec(4.0, 1.0)).points
+    pts = curve_from_source(PathSpec((("arc", 4.0, 1.0),))).points
     curve = parse_curve(
         {"samples": [[float(x), float(y)] for x, y in pts], "kind": "finite"})
     assert curve.kind is CurveKind.FINITE
@@ -488,26 +523,29 @@ def test_corner_crossing_matches_the_whole_offset_scan(u_spine, hook_spine):
     # cut-corner vertices must come out as with the whole-offset scan
     curves = {"u": u_spine, "s": curve_from_source(S_SPINE), "hook": hook_spine}
     for name, curve in curves.items():
+        ends, tans, _ = curve.frames(np.array([0.0, curve.length]))
         for t in np.linspace(0.05, 1.0, 12):
             for end in (0, 1):
                 for level in (-(1.0 - t), 1.0 - t):
-                    assert (strips._end_offset_crossing(curve, end, level, t)
-                            == ref.end_offset_crossing(curve, end, level, t)), (name, t)
+                    args = (curve, end, ends[end], tans[end], level, t)
+                    assert (strips._end_offset_crossing(*args)
+                            == ref.end_offset_crossing(*args)), (name, t)
             shape = build_cut_corner_strip(curve, t, 64)
             with pytest.MonkeyPatch.context() as mp_:
                 mp_.setattr(strips, "_end_offset_crossing", ref.end_offset_crossing)
                 expected = build_cut_corner_strip(curve, t, 64)
             assert np.array_equal(shape.vertices, expected.vertices), (name, t)
     # depths beyond pi/2 fall back to the whole offset (the U's line tails)
+    ends, tans, _ = u_spine.frames(np.array([0.0, u_spine.length]))
     for end, depth in ((0, 2.0), (0, 5.0), (1, 3.0)):
-        assert (strips._end_offset_crossing(u_spine, end, 0.0, depth)
-                == ref.end_offset_crossing(u_spine, end, 0.0, depth))
+        args = (u_spine, end, ends[end], tans[end], 0.0, depth)
+        assert strips._end_offset_crossing(*args) == ref.end_offset_crossing(*args)
     with pytest.raises(ValueError, match="too short"):
-        strips._end_offset_crossing(u_spine, 0, 0.0, 8.0)
+        strips._end_offset_crossing(u_spine, 0, ends[0], tans[0], 0.0, 8.0)
 
 
 @pytest.mark.parametrize("spec, radii", [
-    (SegmentSpec(16.0), (0.3, 0.5, 0.7, 0.9, 1.0)),
+    (PathSpec((("line", 16.0),)), (0.3, 0.5, 0.7, 0.9, 1.0)),
     # the S spine with straight tails longer than any corner patch
     (PathSpec((("line", 2.0), *S_SPINE.pieces, ("line", 2.0))), (0.3, 0.5, 0.7, 0.9, 1.0)),
     # tails of 0.3: for t <= 0.3 the patches are straight, but the crossing
@@ -543,3 +581,30 @@ def test_corner_patches_refuse_what_the_builder_refuses(ring20):
     for t in (0.0, 1.5, math.nan):
         with pytest.raises(ValueError, match="corner radius"):
             measures(t)
+
+
+class _CountingSource:
+    """A spine source that counts the calls of its ``frame``."""
+
+    def __init__(self, source):
+        self.source, self.length, self.kind = source, source.length, source.kind
+        self.calls = 0
+
+    def frame(self, s):
+        self.calls += 1
+        return self.source.frame(s)
+
+
+def test_strip_builders_fetch_their_frames_in_two_batches():
+    # a builder asking for one point at a time gives the same vertices, so
+    # only the call count shows it
+    for spec in (S_SPINE, _ring(5.0)):
+        source = _CountingSource(spec)
+        curve = curve_from_source(source)
+        if curve.kind is CurveKind.FINITE:
+            source.calls = 0
+            build_cut_corner_strip(curve, 0.6, 64)
+            assert source.calls <= 2
+        source.calls = 0
+        build_topped_substrip_on_curve(curve, 1.0, 3.0, 64)
+        assert source.calls <= 2
