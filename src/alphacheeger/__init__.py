@@ -69,7 +69,6 @@ from .oracle import (
     oracle_rectangle,
     oracle_strip,
     ratio,
-    search_cut_corner_strip,
 )
 from .strips import (
     FitResult,

@@ -1,10 +1,10 @@
 """Decision procedures returning complete Cheeger solutions per domain class.
 
 Rectangles are handled by closed forms end to end.  Open strips with a
-genuinely curved spine need two numeric ingredients: the cut-corner case has
-no closed-form radius, so it is golden-searched over the strip's exact
-measures minus four corner patches (``strips.cut_corner_strip_measures``:
-no polygon is built, so the oracle's polygonal search checks it), and the
+genuinely curved spine need two numeric ingredients: the cut-corner radius
+is the fixed point of the paper's free-boundary law r = alpha A / P on the
+strip's exact measures minus four corner patches (no polygon is built and
+the oracle is not imported, so its polygonal search checks it), and the
 capped-substrip family needs the fit scanner for its placements (its
 measures stay the curvature-independent closed forms).  Generalized annuli
 compare the substrip family against the whole domain, whose measures
@@ -43,7 +43,6 @@ from .analytic import (
     stadium_perimeter,
 )
 from .curves import CurveKind, StripCurve, retruncate
-from .oracle import SEARCH_TOL, golden_section_min
 from .strips import FitResult, cut_corner_strip_measures, fit_topped_substrip
 
 # Shortest supported spine; the structure results need L >= 9 pi / 2 and
@@ -58,6 +57,9 @@ STRAIGHT_SPINE_KAPPA_TOL = 1e-9
 # of the diameter bound so no candidate shape can feel the cut, floored at
 # the admissibility threshold.
 TRUNCATION_DIAMETER_FACTOR = 4.0
+
+# Curved case-(i) radius steps before the iteration counts as unconverged.
+RADIUS_MAX_ITER = 100
 
 # Relative band within which the two annulus candidates count as tied.
 ANNULUS_TIE_RTOL = 1e-9
@@ -161,32 +163,35 @@ def classify_rectangle(length: float, alpha) -> StripClassification:
 
 def _cut_corner_strip_classification(curve: StripCurve, a: float,
                                      evidence: dict[str, object]) -> StripClassification:
-    """Unique cut-corner solution on a curved spine, radius by golden section.
+    """Unique cut-corner solution on a curved spine, radius by the paper's
+    free-boundary law r = (alpha/h) |E|^(1-1/alpha) = alpha A / P.
 
-    There is no closed form for the corner radius off the straight spine, so
-    the ratio is golden-searched over t in [1e-9, 1] on
-    ``cut_corner_strip_measures``: the strip's exact measures minus four
-    corner patches, with no polygon built; the oracle's polygonal search
-    shares only ``golden_section_min`` with it.  The stationarity relation
-    r = (alpha/h) |E|^(1-1/alpha) is recorded as a residual for a-posteriori
-    checking; it is meaningful only when the optimum is interior (r < 1).
+    An arc of radius t moves the perimeter by dA / t, so h is stationary
+    exactly where t = alpha A / P.  t <- min(alpha A / P, 1) is iterated from
+    t = 1 on ``cut_corner_strip_measures`` (no polygon built) until a step
+    is zero (the bound t = 1 is active) or no smaller than the one before;
+    after RADIUS_MAX_ITER steps it raises.  The evidence keeps the step
+    count and the law's relative gap at the reported radius.
     """
     measures = cut_corner_strip_measures(curve)
-
-    def h_of(t: float) -> float:
+    t, step = 1.0, math.inf
+    for iterations in range(1, RADIUS_MAX_ITER + 1):
         area, perim = measures(t)
-        return perim / area ** (1.0 / a)
-
-    t_star, _ = golden_section_min(h_of, 1e-9, 1.0, SEARCH_TOL)
-    area, perim = measures(t_star)
-    h = perim / area ** (1.0 / a)
-    r = min(float(t_star), 1.0)
+        h = perim / area ** (1.0 / a)
+        law = free_boundary_radius(h, area, a)
+        t_next = min(law, 1.0)
+        if not 0.0 < abs(t_next - t) < step:
+            break
+        t, step = t_next, abs(t_next - t)
+    else:
+        raise ValueError(f"corner radius iteration did not settle in {RADIUS_MAX_ITER} "
+                         f"steps; its last iterates are {t!r} and {t_next!r}")
     solution = CheegerSolution(kind=SolutionKind.CUT_CORNERS, h_alpha=h,
                                area=area, perimeter=perim, unique=True,
-                               radius=r)
-    evidence["radius"] = r
-    evidence["radius_relation_residual"] = abs(
-        free_boundary_radius(h, area, a) - r) / r
+                               radius=t)
+    evidence["radius"] = t
+    evidence["radius_iterations"] = iterations
+    evidence["radius_relation_residual"] = abs(law - t) / t
     return StripClassification(CaseTag.UNIQUE_CUT_CORNERS, solution, evidence)
 
 

@@ -18,8 +18,8 @@ lengths are also sums over the templates alone (S = sum u_i x u_i+1,
 C = sum |u_i+1 - u_i|, cached beside them) plus the joins between arcs.
 ``cut_corner_rectangle_measures`` and ``topped_substrip_measures`` return
 them without building the polygon, equal to ``measure`` of the built loop
-up to rounding; the oracle's rectangle and stadium searches read them, and
-each winner is then built and shoelace-measured on its real vertices.
+up to rounding.  The oracle reads them for its rectangle and stadium
+searches and for its rectangle winners; figures and Monte Carlo build.
 
 Coordinates are plain float64 numpy arrays of shape (n, 2).  A ``PolyShape``
 is a simple closed CCW loop, optionally with holes (for annuli); no exact or

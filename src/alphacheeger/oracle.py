@@ -8,12 +8,12 @@ area^(1/alpha) of polygons at a tenth of the final resolution.  The
 rectangle's cut-corner and stadium families, and the free stadium length of
 ``oracle_strip``, read those measures from ``geometry``'s arc-template sums
 (``cut_corner_rectangle_measures``, ``topped_substrip_measures``), which
-equal the shoelace measures of the built polygons without building them.
-Every winner is rebuilt at full resolution and shoelace-measured on its
-real vertices, and only those measures are reported.  ``oracle_strip``
-covers open and closed spines alike; its cut-corner search builds and
-measures each polygon, where the classifier measures corner patches, so on
-curved spines too the two agree only if both are right.
+equal the shoelace measures of the built polygons without building them;
+so do the rectangle's winners, read at full resolution.  Strip winners are
+built at full resolution and shoelace-measured.  ``oracle_strip`` covers
+open and closed spines alike; its cut-corner search builds and measures
+each polygon, where the classifier iterates the free-boundary law on corner
+patches, so on curved spines too the two agree only if both are right.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import numpy as np
 
 from .analytic import CheegerSolution, SolutionKind, _alpha_value
 from .curves import CurveKind, StripCurve, densify
-from .geometry import (DEFAULT_SEGMENTS, PolyShape, build_cut_corner_rectangle,
-                       build_topped_substrip, contains_points,
+from .geometry import (DEFAULT_SEGMENTS, PolyShape, contains_points,
                        cut_corner_rectangle_measures, measure,
                        topped_substrip_measures, translate_shape)
 from .strips import (build_cut_corner_strip, build_strip_polygon,
@@ -40,13 +39,13 @@ __all__ = [
     "oracle_rectangle",
     "oracle_strip",
     "ratio",
-    "search_cut_corner_strip",
 ]
 
 GOLDEN_MAX_ITER = 200
 PRESCAN_SAMPLES = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 SEARCH_TOL = 1e-9
+STADIUM_BISECT_STEPS = 12
 
 # Longest rectangle the oracle can resolve: golden section shrinks the
 # stadium bracket [0, L - 2] by _INVPHI per step and has GOLDEN_MAX_ITER
@@ -154,9 +153,9 @@ def oracle_rectangle(length: float, alpha,
 
     The corner-cut family is minimized over t in (0, min(1, L/2)] and the
     stadium family over its length m in [0, L-2]; the search reads the
-    template measures of polygons at a tenth of ``segments``, and each
-    winner is built and measured at full resolution.  No closed form
-    enters: this output is what the formulas are tested against.
+    template sums of polygons at a tenth of ``segments``, and each winner
+    is read from them at full resolution.  No closed form enters: this
+    output is what the formulas are tested against.
     """
     a = _alpha_value(alpha)
     if length < 2.0:
@@ -172,8 +171,7 @@ def oracle_rectangle(length: float, alpha,
     t_hi = min(1.0, length / 2.0)
     t_star = _min_ratio(lambda t: cut_corner_rectangle_measures(length, t, coarse),
                         a, 1e-9 * t_hi, t_hi)
-    cut_shape = build_cut_corner_rectangle(length, t_star, segments)
-    cut_area, cut_perim = measure(cut_shape)
+    cut_area, cut_perim = cut_corner_rectangle_measures(length, t_star, segments)
     h_cut = cut_perim / cut_area ** (1.0 / a)
 
     m_hi = length - 2.0
@@ -182,8 +180,7 @@ def oracle_rectangle(length: float, alpha,
                             a, 0.0, m_hi)
     else:
         m_star = 0.0
-    top_shape = build_topped_substrip(m_star, segments)
-    top_area, top_perim = measure(top_shape)
+    top_area, top_perim = topped_substrip_measures(m_star, segments)
     h_top = top_perim / top_area ** (1.0 / a)
 
     if h_cut <= h_top:
@@ -199,8 +196,7 @@ def _coarse_fit(curve: StripCurve, m: float):
     return fit_topped_substrip(curve, m, scan_step=curve.length / 64.0)
 
 
-def _best_feasible_stadium(curve: StripCurve, a: float, coarse: int,
-                           bisect_steps: int = 12):
+def _best_feasible_stadium(curve: StripCurve, a: float, coarse: int):
     """(m, fit) minimizing the capped-substrip ratio subject to fitting.
 
     The measures of a capped substrip do not depend on the spine, so the
@@ -219,7 +215,7 @@ def _best_feasible_stadium(curve: StripCurve, a: float, coarse: int,
     fit_lo = _coarse_fit(curve, lo)
     if not fit_lo.any_feasible:
         return None, None
-    for _ in range(bisect_steps):
+    for _ in range(STADIUM_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         f = _coarse_fit(curve, mid)
         if f.any_feasible:
@@ -260,7 +256,7 @@ def oracle_strip(curve: StripCurve, alpha,
     widest feasible run (all placements share the same measures), translated
     so that its anchor point is the origin.  Purely polygonal, mirroring
     oracle_rectangle, so on curved spines it checks the classifier's
-    patch-measure search independently.
+    free-boundary iteration independently.
     """
     a = _alpha_value(alpha)
     dense = densify(curve, segments)

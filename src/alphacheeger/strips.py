@@ -271,7 +271,7 @@ def cut_corner_strip_measures(curve: StripCurve):
       CORNER_RUN_POINTS source points spaced evenly between the exact
       endpoints, Richardson-combined with every second point (the error of
       an inscribed polygon is even in its step).  A fixed count keeps the
-      measure smooth in t, which the radius search depends on.
+      measure smooth in t, which the classifier's radius iteration relies on.
     """
     if curve.kind is not CurveKind.FINITE:
         raise ValueError(f"corner cutting needs a finite open spine, got {curve.kind}")

@@ -1,7 +1,10 @@
 """Decision procedures: rectangle cases, curved strips, annulus comparison."""
 
+import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 import alphacheeger
@@ -14,10 +17,14 @@ from alphacheeger import (
     classify_annulus,
     classify_open_strip,
     classify_rectangle,
+    cli,
+    curve_from_samples,
     curve_from_source,
     cut_corner_area,
     cut_corner_perimeter,
+    cut_corner_strip_measures,
     diameter_bound,
+    golden_section_min,
     h_alpha_strip_limit,
     m_of_alpha,
     oracle_strip,
@@ -45,6 +52,18 @@ RING20_TIE_ALPHA = 1.23849914454155
 # The cut-corner search runs on exact strip measures minus corner patches,
 # so its stationarity residual does not depend on the test mode.
 RESIDUAL_BOUND = 5e-7
+
+# Case-(i) path spines of the radius tests.  The junction spine has line-arc
+# joins inside its corner patches; the narrow-run spine reaches the bound
+# t = 1 at alpha = 1.0938, where it is case iii with no fit.
+CASE_I_PATHS = {
+    "u": (("line", 6.0), ("arc", 1.6, math.pi), ("line", 4.0)),
+    "s": (("arc", 4.0, 1.0), ("line", 7.5), ("arc", 4.0, -1.0)),
+    "hook": (("arc", 1.05, 1.71), ("line", 10.64), ("arc", 1.05, 1.71)),
+    "junction": (("line", 0.3), ("arc", 2.0, 1.5), ("line", 8.0),
+                 ("arc", 2.0, -1.5), ("line", 0.3)),
+    "narrow_run": (("arc", 3.7, 1.16), ("line", 12.94)),
+}
 
 
 # the fit scan over the full ring is the expensive part of classify_annulus,
@@ -213,8 +232,8 @@ def test_curved_long_spine_family_matches_frozen_fit(u_spine):
 
 def test_curved_short_spine_searches_corner_radius(u_spine):
     # M(1.08) + 2 is about 20.1, the U spine is 15.0, so this is case i with
-    # no closed-form radius; the golden search must land on a stationary
-    # point of the shape ratio
+    # no closed-form radius; the free-boundary iteration must land on a
+    # stationary point of the shape ratio
     c = classify_open_strip(u_spine, 1.08)
     assert c.case_tag is CaseTag.UNIQUE_CUT_CORNERS
     assert c.evidence["case"] == "i"
@@ -278,6 +297,94 @@ def test_curved_case_i_builds_no_polygon(pieces, monkeypatch, segments, oracle_r
     assert 0.0 < c.solution.radius < 1.0
     assert c.evidence["radius_relation_residual"] < RESIDUAL_BOUND
     assert c.solution.h_alpha == pytest.approx(oracle.h_alpha, rel=oracle_rtol)
+
+
+def _reversed_path(pieces):
+    return tuple(p if p[0] == "line" else ("arc", p[1], -p[2])
+                 for p in reversed(pieces))
+
+
+@pytest.mark.parametrize("pieces", [
+    (("line", 6.0), ("arc", 1.8, math.pi), ("line", 5.0)),
+    (("line", 0.5), ("arc", 1.2, 2.0), ("line", 10.0), ("arc", 3.0, 0.7)),
+    CASE_I_PATHS["narrow_run"],
+], ids=["u", "two_bends", "narrow_run"])
+def test_curved_case_i_radius_is_invariant_under_reversal_and_rotation(pieces):
+    # the free-boundary fixed point belongs to the domain, so traversing the
+    # spine backwards or rotating its samples keeps it; h is flat at its
+    # minimum, so a golden search pins h but lets the radius move 5e-9-8e-8
+    path = curve_from_source(PathSpec(pieces))
+    samples = path.frames(np.linspace(0.0, path.length, 4097))[0]
+    turn = 0.37 * math.pi
+    rotation = np.array([[math.cos(turn), -math.sin(turn)],
+                         [math.sin(turn), math.cos(turn)]])
+    pairs = [(path, curve_from_source(PathSpec(_reversed_path(pieces)))),
+             (curve_from_samples(samples, CurveKind.FINITE),
+              curve_from_samples(samples @ rotation.T, CurveKind.FINITE))]
+    for first, second in pairs:
+        c1, c2 = classify_open_strip(first, 1.05), classify_open_strip(second, 1.05)
+        assert c1.case_tag is c2.case_tag is CaseTag.UNIQUE_CUT_CORNERS
+        assert c2.solution.radius == pytest.approx(c1.solution.radius, rel=1e-12)
+        assert c2.solution.h_alpha == pytest.approx(c1.solution.h_alpha, rel=1e-13)
+
+
+@pytest.mark.parametrize("name, alpha", [
+    ("u", 1.05), ("s", 1.05), ("hook", 1.05), ("junction", 1.05),
+    ("junction", 1.1035), ("narrow_run", 1.05), ("narrow_run", 1.0938)])
+def test_curved_case_i_fixed_point_is_the_minimum_of_the_measures(name, alpha):
+    # golden section over the same patch measures is the reference: the
+    # fixed point of t = alpha A / P is its minimum, never above it
+    spine = curve_from_source(PathSpec(CASE_I_PATHS[name]))
+    measures = cut_corner_strip_measures(spine)
+
+    def h_of(t):
+        area, perim = measures(t)
+        return perim / area ** (1.0 / alpha)
+
+    _, h_golden = golden_section_min(h_of, 1e-9, 1.0, 1e-9)
+    c = classify_open_strip(spine, alpha)
+    assert c.case_tag is CaseTag.UNIQUE_CUT_CORNERS
+    assert abs(c.solution.h_alpha - h_golden) <= 1e-13 * h_golden
+    assert c.evidence["radius_iterations"] <= 20
+    if c.solution.radius < 1.0:
+        assert c.evidence["radius_relation_residual"] < RESIDUAL_BOUND
+
+
+def test_curved_radius_stops_at_the_bound():
+    # at alpha = 1.0938 the law asks for r > 1 already at t = 1, so the first
+    # step is zero and the relation's gap is what holds the radius at 1
+    spine = curve_from_source(PathSpec(CASE_I_PATHS["narrow_run"]))
+    c = classify_open_strip(spine, 1.0938)
+    assert c.case_tag is CaseTag.UNIQUE_CUT_CORNERS
+    assert c.evidence["case"] == "iii" and c.evidence["fit_empty"] is True
+    assert c.solution.radius == 1.0
+    assert c.evidence["radius"] == 1.0
+    assert c.evidence["radius_iterations"] == 1
+    assert format(c.solution.h_alpha, ".12g") == "1.47812620167"
+
+
+def test_unsettled_radius_iteration_exits_with_one_line(monkeypatch, tmp_path, capsys):
+    # measures whose map alpha A / P contracts by only 0.99 per step toward
+    # 1/2 cannot settle within the cap; the CLI names the last iterate
+    alpha = 1.05
+
+    def slow(curve):
+        def measures(t):
+            return 40.0 * (0.5 + 0.99 * (t - 0.5)) / alpha, 40.0
+        return measures
+
+    monkeypatch.setattr(alphacheeger.classifier, "cut_corner_strip_measures", slow)
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"primitive": "path",
+                                "pieces": [list(p) for p in CASE_I_PATHS["u"]]}))
+    code = cli.main(["strip", str(path), "--alpha", str(alpha)])
+    err = capsys.readouterr().err
+    assert code == 2
+    (line,) = err.splitlines()
+    steps = alphacheeger.classifier.RADIUS_MAX_ITER
+    assert line.startswith("error: corner radius iteration did not settle")
+    last = float(re.findall(r"[0-9.e+-]+", line)[-1])
+    assert last == pytest.approx(0.5 + 0.5 * 0.99 ** steps, rel=1e-12)
 
 
 def test_spine_validation_failures_propagate():

@@ -29,7 +29,7 @@ from alphacheeger import (
     stadium_area,
     stadium_perimeter,
 )
-from alphacheeger import geometry
+from alphacheeger import geometry, oracle
 from alphacheeger.oracle import MAX_ORACLE_LENGTH
 from reference_kernels import min_cut_corner_ratio, min_stadium_ratio, regular_polygon
 
@@ -146,6 +146,22 @@ def test_oracle_rectangle_builds_without_the_full_dedupe_scan(monkeypatch, lengt
     assert scans == []
 
 
+@pytest.mark.parametrize("length", [2.0, 5.0, 50.0])
+def test_oracle_rectangle_reads_its_winners_from_the_template_sums(monkeypatch,
+                                                                   length):
+    # the full-resolution winners are measured from the arc-template sums,
+    # like the search: no loop is built and none is shoelace-measured
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle_rectangle built or measured a loop")
+
+    monkeypatch.setattr(geometry, "_arc_loop", refuse)
+    monkeypatch.setattr(geometry, "measure", refuse)
+    monkeypatch.setattr(oracle, "measure", refuse)
+    sol = oracle_rectangle(length, 1.5)
+    assert sol.h_alpha == pytest.approx(classify_rectangle(length, 1.5).solution.h_alpha,
+                                        rel=1e-6)
+
+
 def test_oracle_families_tie_at_the_case_boundary(segments, oracle_rtol):
     length = m_of_alpha(1.5) + 2.0
     _, h_cut = search_family(
@@ -249,3 +265,4 @@ def test_oracle_shares_no_code_with_the_closed_forms():
     oracle = _package_imports("oracle")
     assert "" not in oracle and "classifier" not in oracle
     assert oracle["analytic"] <= {"CheegerSolution", "SolutionKind", "_alpha_value"}
+    assert "oracle" not in _package_imports("classifier")
